@@ -30,7 +30,7 @@ fn bench(c: &mut Criterion) {
             }
             handle.events.send(StreamEvent::Flush).unwrap();
             let incidents: Vec<_> = handle.incidents.iter().collect();
-            handle.worker.join().unwrap();
+            handle.join().unwrap();
             black_box(incidents)
         });
     });

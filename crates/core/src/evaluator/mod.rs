@@ -13,7 +13,7 @@ use crate::par::parallel_map;
 use serde::{Deserialize, Serialize};
 use skynet_model::{AlertKind, CustomerId, LocId, LocationLevel, PingLog, SimTime, TraceId};
 use skynet_topology::Topology;
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
 /// Evaluator knobs.
@@ -229,7 +229,10 @@ impl Evaluator {
                 .fold(0.0f64, f64::max);
 
             let flow_ids = self.topo.flows_on_circuit_set(link.circuit_set.id);
-            let mut customers: HashSet<CustomerId> = HashSet::new();
+            // Ordered: the importance average below sums floats in
+            // iteration order, and a default-hasher set would make its last
+            // bits differ between two incarnations scoring the same feed.
+            let mut customers: BTreeSet<CustomerId> = BTreeSet::new();
             let mut sla_flows = 0u32;
             let mut sla_over = 0u32;
             for &fi in flow_ids {

@@ -34,6 +34,9 @@
 //! - [`par`] — the minimal order-preserving parallel map the sharded
 //!   stages run on, backed by a persistent [`par::WorkerPool`] (std
 //!   threads; no runtime dependency, no per-batch thread spawning).
+//! - `engine` (crate-private) — the event-at-a-time state machine (guard →
+//!   preprocess → shard route → N locators) that both the streaming worker
+//!   and every serving tenant drive.
 //! - [`pipeline`] — the assembled system: batch analysis and a supervised,
 //!   channel-based streaming mode, both optionally region-sharded via
 //!   [`StreamingConfig::shards`].
@@ -56,6 +59,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod engine;
 pub mod error;
 pub mod evaluator;
 pub mod faultinject;
@@ -78,8 +82,6 @@ pub use faultinject::{
 pub use guard::{DeadLetter, DeadLetterQueue, GuardConfig, IngestGuard, IngestStats};
 pub use locator::{CountingMode, Incident, Locator, LocatorConfig, MaintenanceMode, Thresholds};
 pub use obs::{Exporter, ObsConfig, Observability};
-#[allow(deprecated)]
-pub use pipeline::spawn_streaming;
 pub use pipeline::{
     AnalysisReport, Handle, HealthReport, IngestSnapshot, PipelineConfig, SkyNet, SkyNetBuilder,
     StreamEvent, StreamIncident, StreamingConfig, StreamingHandle,
@@ -101,8 +103,6 @@ pub mod prelude {
     };
     pub use crate::locator::Incident;
     pub use crate::obs::{Exporter, ObsConfig, Observability, Stage, TraceEvent};
-    #[allow(deprecated)]
-    pub use crate::pipeline::spawn_streaming;
     pub use crate::pipeline::{
         AnalysisReport, Handle, PipelineConfig, SkyNet, SkyNetBuilder, StreamEvent, StreamIncident,
         StreamingConfig, StreamingHandle,

@@ -763,7 +763,7 @@ impl Locator {
         let index: HashMap<LocId, usize> =
             locations.iter().enumerate().map(|(i, &l)| (l, i)).collect();
         let mut parent: Vec<usize> = (0..n).collect();
-        let mut union = |parent: &mut Vec<usize>, i: usize, j: usize| {
+        let union = |parent: &mut Vec<usize>, i: usize, j: usize| {
             let (ri, rj) = (find(parent, i), find(parent, j));
             if ri != rj {
                 parent[ri] = rj;

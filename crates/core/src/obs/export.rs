@@ -286,19 +286,19 @@ skynet_watermark_seconds 12.5
         assert_eq!(metrics.len(), 5);
         let accepted = metrics
             .iter()
-            .find(|m| m["name"] == "skynet_ingest_accepted_total")
+            .find(|m| m["name"].as_str() == Some("skynet_ingest_accepted_total"))
             .unwrap();
-        assert_eq!(accepted["value"], 41);
-        assert_eq!(accepted["type"], "counter");
+        assert_eq!(accepted["value"].as_u64(), Some(41));
+        assert_eq!(accepted["type"].as_str(), Some("counter"));
         let hist = metrics
             .iter()
-            .find(|m| m["name"] == "skynet_stage_seconds")
+            .find(|m| m["name"].as_str() == Some("skynet_stage_seconds"))
             .unwrap();
-        assert_eq!(hist["count"], 3);
+        assert_eq!(hist["count"].as_u64(), Some(3));
         let buckets = hist["buckets"].as_array().unwrap();
         assert_eq!(buckets.len(), 3);
         assert_eq!(buckets[2]["le"], serde_json::Value::Null);
-        assert_eq!(buckets[2]["count"], 3);
+        assert_eq!(buckets[2]["count"].as_u64(), Some(3));
     }
 
     #[test]
@@ -309,7 +309,9 @@ skynet_watermark_seconds 12.5
     #[test]
     fn render_is_aligned_and_lists_every_series() {
         let table = render(&sample());
-        assert!(table.contains("skynet_ingest_rejected_total{reason=\"duplicate\"}  2"));
+        // The value column starts two spaces after the *longest* series name.
+        assert!(table.contains("skynet_ingest_rejected_total{reason=\"stale-timestamp\"}  3"));
+        assert!(table.contains("skynet_ingest_rejected_total{reason=\"duplicate\"}        2"));
         assert!(table.contains("count=3 sum=5.0055"));
         assert_eq!(table.lines().count(), 2 + 5);
     }

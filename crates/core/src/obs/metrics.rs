@@ -452,8 +452,8 @@ mod tests {
         // NaN is dropped.
         h.observe(f64::NAN);
         let snap = h.snapshot();
-        assert_eq!(snap.counts, vec![4, 1, 1, 2]);
-        assert_eq!(snap.cumulative(), vec![4, 5, 6, 8]);
+        assert_eq!(snap.counts, vec![3, 2, 1, 2]);
+        assert_eq!(snap.cumulative(), vec![3, 5, 6, 8]);
         assert_eq!(snap.count(), 8);
         assert_eq!(h.count(), 8);
         assert!(h.sum().is_infinite());

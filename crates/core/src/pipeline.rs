@@ -5,7 +5,9 @@
 //! [`SkyNet::stream`] runs the same stages as a long-lived, *supervised*
 //! worker thread fed through a channel, the shape the production deployment
 //! uses ("the alert preprocessing occurs through a stream processing
-//! mechanism", §6.2).
+//! mechanism", §6.2). The worker drives the same crate-private `Engine`
+//! every serving tenant does: streaming is one anonymous tenant without a
+//! WAL.
 //!
 //! The streaming runtime is built to survive the conditions it analyzes:
 //!
@@ -19,17 +21,18 @@
 //!   snapshots), up to a configurable cap;
 //! - [`StreamingHandle::health`] is the liveness probe.
 
+use crate::engine::{fault_letter, Engine};
 use crate::error::{RejectReason, SkyNetError};
 use crate::evaluator::{Evaluator, EvaluatorConfig, MatrixMemo, ScoredIncident};
 use crate::faultinject::{
-    self, DegradationReport, FaultAction, FaultArm, FaultConfig, FaultPanic, FaultPlane,
-    InjectedFault, InjectionSite,
+    self, DegradationReport, FaultAction, FaultConfig, FaultPanic, FaultPlane, InjectedFault,
+    InjectionSite,
 };
 use crate::guard::{DeadLetter, DeadLetterQueue, GuardConfig, IngestGuard, IngestStats};
 use crate::locator::{Incident, Locator, LocatorConfig};
 use crate::obs::{
-    Counter, Exporter, Histogram, ObsConfig, Observability, RegistrySnapshot, Stage, StageTracer,
-    TraceEvent, LATENCY_BUCKETS,
+    Counter, Exporter, Histogram, ObsConfig, Observability, RegistrySnapshot, Stage, TraceEvent,
+    LATENCY_BUCKETS,
 };
 use crate::par::parallel_map;
 use crate::preprocess::{PreprocessStats, Preprocessor, PreprocessorConfig, SyslogClassifier};
@@ -74,11 +77,12 @@ pub struct StreamingConfig {
     /// Worker panics tolerated (each costs a restart with fresh stage
     /// state) before the supervisor gives up.
     pub max_restarts: u32,
-    /// Region-affine shards for the locate/evaluate stages. `1` (the
-    /// default) keeps the single-worker layout; `N > 1` fans structured
-    /// alerts out to N workers by the [`ShardRouter`] and merges their
-    /// incidents back into the canonical order. Output is byte-identical
-    /// at any shard count — see the module docs of [`crate::shard`].
+    /// Region-affine shards for the locate stage: structured alerts route
+    /// to one of N locators by the [`ShardRouter`]. Batch analysis runs
+    /// the N locators in parallel; the streaming worker and every serving
+    /// tenant apply them in sequence on their one worker thread. Reports
+    /// are byte-identical at any shard count — see the module docs of
+    /// [`crate::shard`].
     #[serde(default = "default_shards")]
     pub shards: usize,
 }
@@ -475,30 +479,6 @@ impl SkyNet {
         }
     }
 
-    /// A pipeline without a syslog classifier (raw syslog becomes
-    /// `Unclassified`).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `SkyNet::builder(topo).config(cfg).build()`"
-    )]
-    pub fn new(topo: &Arc<Topology>, cfg: PipelineConfig) -> Self {
-        SkyNet::builder(topo).config(cfg).build()
-    }
-
-    /// A pipeline whose FT-tree classifier is trained on a labelled
-    /// historical corpus.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `SkyNet::builder(topo).config(cfg).training(corpus).build()`"
-    )]
-    pub fn with_training(
-        topo: &Arc<Topology>,
-        cfg: PipelineConfig,
-        corpus: &[(String, AlertKind)],
-    ) -> Self {
-        SkyNet::builder(topo).config(cfg).training(corpus).build()
-    }
-
     /// The topology under analysis.
     pub fn topology(&self) -> &Arc<Topology> {
         &self.topo
@@ -714,7 +694,7 @@ impl SkyNet {
             // Dead-letter fault-intercepted alerts here, sequentially in
             // shard order, so the queue's contents replay identically.
             for alert in &lost {
-                push_fault_letter(&dead, alert);
+                fault_letter(&dead, alert);
             }
             incident_parts.push(completed);
         }
@@ -858,20 +838,6 @@ impl SkyNet {
             dead_letters,
         }
     }
-}
-
-/// Synthesizes a dead letter for a structured alert a fault intercepted
-/// past the guard, so chaos runs never lose evidence silently.
-fn push_fault_letter(dead: &Arc<Mutex<DeadLetterQueue>>, alert: &StructuredAlert) {
-    let raw = RawAlert::known(
-        alert.ty.source,
-        alert.last_seen,
-        alert.location.clone(),
-        alert.ty.kind,
-    )
-    .with_magnitude(alert.magnitude)
-    .with_trace(alert.trace);
-    dead.lock().push(raw, RejectReason::FaultInjected);
 }
 
 /// Per-phase wall-clock histograms. Latency is observed at *phase*
@@ -1071,13 +1037,11 @@ impl Monitor {
     }
 
     /// Marks the terminal `Degraded` state, preserving the error behind
-    /// the panic that exhausted the restart budget. The first cause wins:
-    /// in sharded mode several supervisors may give up independently and
-    /// the first failure is the one worth reporting.
+    /// the panic that exhausted the restart budget.
     fn give_up(&self, cause: SkyNetError) {
         let mut s = self.state.lock();
         s.gave_up = true;
-        s.degraded.get_or_insert(cause);
+        s.degraded = Some(cause);
     }
 
     fn mark_dead(&self) {
@@ -1100,8 +1064,8 @@ pub struct StreamingHandle {
     pub incidents: Receiver<StreamIncident>,
     /// Quarantined rejects with their reasons; survives worker restarts.
     pub dead_letters: Arc<Mutex<DeadLetterQueue>>,
-    /// Supervisor thread handle.
-    pub worker: JoinHandle<()>,
+    /// Supervisor thread handle, taken by the first [`StreamingHandle::join`].
+    worker: Mutex<Option<JoinHandle<()>>>,
     counters: Arc<Mutex<SharedCounters>>,
     monitor: Arc<Monitor>,
     obs: Observability,
@@ -1160,6 +1124,18 @@ impl StreamingHandle {
         self.obs
             .tracer()
             .record(raw.trace, raw.timestamp, Stage::Shed(class));
+    }
+
+    /// Waits for the supervisor thread to exit (after a
+    /// [`StreamEvent::Flush`], once every producer hung up, or when the
+    /// restart budget ran out). The handle stays usable afterwards —
+    /// health, counters and exporters all read state that outlives the
+    /// worker. A second call returns `Ok` at once.
+    pub fn join(&self) -> std::thread::Result<()> {
+        match self.worker.lock().take() {
+            Some(worker) => worker.join(),
+            None => Ok(()),
+        }
     }
 
     /// The liveness probe. All three lifecycle fields come from one lock
@@ -1310,17 +1286,6 @@ struct WorkerShared {
     plane: Option<Arc<FaultPlane>>,
 }
 
-/// Spawns the pipeline as a supervised worker thread fed through a bounded
-/// channel.
-#[deprecated(
-    since = "0.3.0",
-    note = "use `SkyNet::builder(topo).config(cfg).stream()` (or \
-            `SkyNet::stream`) — the builder is the one front door"
-)]
-pub fn spawn_streaming(skynet: SkyNet) -> StreamingHandle {
-    skynet.stream()
-}
-
 /// The streaming runtime behind [`SkyNet::stream`] — per the tokio guide
 /// this workload is CPU-bound stream processing, so it runs on a plain OS
 /// thread with crossbeam channels.
@@ -1346,20 +1311,14 @@ fn spawn_streaming_impl(skynet: SkyNet) -> StreamingHandle {
 
     let worker = std::thread::Builder::new()
         .name("skynet-pipeline".into())
-        .spawn(move || {
-            if scfg.shards <= 1 {
-                supervise(&skynet, &scfg, &event_rx, &incident_tx, &shared);
-            } else {
-                run_sharded(&skynet, &scfg, &event_rx, incident_tx, &shared);
-            }
-        })
+        .spawn(move || supervise(&skynet, &scfg, &event_rx, &incident_tx, &shared))
         .expect("spawning the pipeline worker thread");
 
     StreamingHandle {
         events: event_tx,
         incidents: incident_rx,
         dead_letters,
-        worker,
+        worker: Mutex::new(Some(worker)),
         counters,
         monitor,
         obs,
@@ -1389,7 +1348,9 @@ fn supervise(
             Err(payload) => {
                 let caught = shared.monitor.count_restart();
                 if caught > scfg.max_restarts {
-                    shared.monitor.give_up(panic_cause(&payload, caught));
+                    // `&*`: the payload inside the box, not the box itself
+                    // (which is `Any` too and downcasts to nothing).
+                    shared.monitor.give_up(panic_cause(&*payload, caught));
                     break;
                 }
                 // The next incarnation's guard restarts trace ids at 1;
@@ -1415,8 +1376,10 @@ fn panic_cause(payload: &(dyn std::any::Any + Send), restarts: u32) -> SkyNetErr
     }
 }
 
-/// One worker incarnation: fresh guard/preprocessor/locator state, counters
-/// based on whatever earlier incarnations already published.
+/// One worker incarnation: a fresh [`Engine`] (N locators when
+/// `shards = N`) plus the evaluator, matrix memo and SOP engine completed
+/// incidents are scored with, counters based on whatever earlier
+/// incarnations already published.
 fn run_worker(
     skynet: &SkyNet,
     scfg: &StreamingConfig,
@@ -1424,624 +1387,117 @@ fn run_worker(
     incidents: &Sender<StreamIncident>,
     shared: &WorkerShared,
 ) {
-    // Lane 0: the unsharded worker runs every stage on one lane. Arm
-    // state lives in the shared plane, so a restarted incarnation resumes
-    // the decision streams where the previous one left off.
+    // The streaming feed is one anonymous tenant on lane 0. Arm state
+    // lives in the shared plane, so a restarted incarnation resumes the
+    // decision streams where the previous one left off.
     let arm = |site: InjectionSite| shared.plane.as_ref().and_then(|p| p.arm(site, 0));
-    let mut preprocessor =
-        Preprocessor::new(skynet.cfg.preprocessor.clone(), skynet.classifier.clone())
-            .with_observability(&shared.obs)
-            .with_faults(
-                arm(InjectionSite::PreprocessClassify),
-                arm(InjectionSite::PreprocessConsolidate),
-            );
-    let mut locator =
-        Locator::new(&skynet.topo, skynet.cfg.locator.clone()).with_observability(&shared.obs);
+    let mut engine = Engine::new(skynet, 0, Arc::clone(&shared.dead), &shared.plane);
     let evaluator = Evaluator::new(&skynet.topo, skynet.cfg.evaluator.clone()).with_faults(
         arm(InjectionSite::MatrixBuild),
         arm(InjectionSite::Evaluate),
     );
     let mut memo = MatrixMemo::new().with_observability(&shared.obs);
     let sop = SopEngine::standard(&skynet.topo);
-    let locate_fault = arm(InjectionSite::LocateWorker);
     let sop_fault = arm(InjectionSite::SopSelect);
-    let mut guard =
-        IngestGuard::with_dead_letters(&skynet.topo, scfg.guard.clone(), Arc::clone(&shared.dead))
-            .with_observability(&shared.obs)
-            .with_faults(
-                arm(InjectionSite::GuardOffer),
-                arm(InjectionSite::GuardValidate),
-            );
-    let mut ping = PingLog::new();
-    let mut released: Vec<RawAlert> = Vec::new();
-    let mut structured: Vec<StructuredAlert> = Vec::new();
     let base = *shared.counters.lock();
     let tracer = shared.obs.tracer();
     let completed = shared.obs.registry().counter(
         "skynet_incidents_completed_total",
         "incidents whose trees finalized",
     );
+    // Evaluates and emits every newly-completed incident, with its SOP
+    // plan attached. Returns `false` when the consumer dropped the
+    // receiver.
+    let mut drain_completed = |engine: &mut Engine| -> bool {
+        for incident in engine.take_completed() {
+            completed.inc();
+            if tracer.is_enabled() {
+                for alert in &incident.alerts {
+                    tracer.record(
+                        alert.trace,
+                        incident.last_seen,
+                        Stage::IncidentCompleted(incident.id),
+                    );
+                }
+            }
+            let sop_trace = incident.alerts.first().map_or(TraceId::NONE, |a| a.trace);
+            let plan = if faultinject::trip(&sop_fault, sop_trace, incident.last_seen) {
+                // SOP selection failed: the incident still ships, without
+                // its automatic remediation plan.
+                None
+            } else {
+                sop.match_incident(&incident)
+            };
+            let scored = evaluator.evaluate_memoized(incident, engine.ping_log(), &mut memo);
+            if tracer.is_enabled() {
+                for alert in &scored.incident.alerts {
+                    tracer.record(
+                        alert.trace,
+                        scored.incident.last_seen,
+                        Stage::Scored(scored.incident.id),
+                    );
+                }
+            }
+            if incidents
+                .send(StreamIncident { scored, sop: plan })
+                .is_err()
+            {
+                return false;
+            }
+        }
+        true
+    };
     let mut since_publish: u64 = 0;
 
     for event in events.iter() {
         match event {
             StreamEvent::Alert(raw) => {
-                released.clear();
-                let _ = guard.offer(raw, &mut released);
-                feed(
-                    &released,
-                    &mut structured,
-                    &mut preprocessor,
-                    &mut locator,
-                    &tracer,
-                    &locate_fault,
-                    &shared.dead,
-                );
+                engine.alert(raw);
                 since_publish += 1;
                 if since_publish >= scfg.stats_interval {
-                    publish(shared, base, &preprocessor, &guard);
+                    publish(shared, base, &engine);
                     since_publish = 0;
                 }
             }
-            StreamEvent::Ping(sample) => {
-                ping.record(sample.t, sample.src, sample.dst, sample.loss);
-            }
+            StreamEvent::Ping(sample) => engine.ping(sample),
             StreamEvent::Tick(now) => {
-                released.clear();
-                guard.advance(now, &mut released);
-                feed(
-                    &released,
-                    &mut structured,
-                    &mut preprocessor,
-                    &mut locator,
-                    &tracer,
-                    &locate_fault,
-                    &shared.dead,
-                );
-                locator.advance(now);
-                publish(shared, base, &preprocessor, &guard);
+                engine.tick(now);
+                publish(shared, base, &engine);
                 since_publish = 0;
             }
             StreamEvent::Flush => break,
             StreamEvent::ChaosPanic => panic!("chaos: injected pipeline worker panic"),
         }
-        if !drain_completed(
-            &mut locator,
-            &ping,
-            &evaluator,
-            &mut memo,
-            &sop,
-            &sop_fault,
-            incidents,
-            &tracer,
-            &completed,
-        ) {
+        if !drain_completed(&mut engine) {
             return; // receiver gone
         }
     }
     // Flush (or all producers hung up): release everything and finalize.
-    released.clear();
-    guard.flush(&mut released);
-    feed(
-        &released,
-        &mut structured,
-        &mut preprocessor,
-        &mut locator,
-        &tracer,
-        &locate_fault,
-        &shared.dead,
-    );
-    preprocessor.finish();
-    locator.finish();
-    publish(shared, base, &preprocessor, &guard);
-    let _ = drain_completed(
-        &mut locator,
-        &ping,
-        &evaluator,
-        &mut memo,
-        &sop,
-        &sop_fault,
-        incidents,
-        &tracer,
-        &completed,
-    );
-}
-
-/// Internal event stream from the sharded ingest worker to shard workers.
-#[derive(Debug, Clone)]
-enum ShardEvent {
-    /// A structured alert routed to this shard's region(s).
-    Alert(StructuredAlert),
-    /// A lossy ping sample (broadcast: every shard keeps the full log so
-    /// its reachability matrices equal the single worker's).
-    Ping(PingSample),
-    /// Clock advance (broadcast).
-    Tick(SimTime),
-    /// Chaos hook (broadcast): panics the shard worker, exercising
-    /// per-shard restart.
-    ChaosPanic,
-}
-
-/// The sharded streaming runtime (`shards > 1`): one supervised ingest
-/// worker owns the guard and preprocessor — the watermark is global and
-/// peered alerts split into both endpoint regions, so ingestion cannot be
-/// sharded without changing admission — and fans structured alerts out to
-/// `shards` region-affine workers, each owning its own locator, evaluator,
-/// SOP engine and ping log. Every worker restarts independently from its
-/// own `max_restarts` budget; `Monitor::restarts` totals panics across all
-/// of them. Incident ids are per-shard in streaming mode (the batch path's
-/// canonical renumbering needs the full completed set; a live stream never
-/// has it).
-fn run_sharded(
-    skynet: &SkyNet,
-    scfg: &StreamingConfig,
-    events: &Receiver<StreamEvent>,
-    incidents: Sender<StreamIncident>,
-    shared: &WorkerShared,
-) {
-    let router = ShardRouter::new(skynet.topo.interner(), scfg.shards);
-    let mut shard_txs = Vec::with_capacity(scfg.shards);
-    let mut handles = Vec::with_capacity(scfg.shards);
-    for s in 0..scfg.shards {
-        let (tx, rx) = bounded::<ShardEvent>(scfg.event_capacity.max(1));
-        shard_txs.push(tx);
-        let topo = Arc::clone(&skynet.topo);
-        let locator_cfg = skynet.cfg.locator.clone();
-        let evaluator_cfg = skynet.cfg.evaluator.clone();
-        let incident_tx = incidents.clone();
-        let monitor = Arc::clone(&shared.monitor);
-        let obs = shared.obs.clone();
-        let dead = Arc::clone(&shared.dead);
-        let plane = shared.plane.clone();
-        let max_restarts = scfg.max_restarts;
-        let handle = std::thread::Builder::new()
-            .name(format!("skynet-shard-{s}"))
-            .spawn(move || {
-                supervise_shard(
-                    &topo,
-                    &locator_cfg,
-                    &evaluator_cfg,
-                    &rx,
-                    &incident_tx,
-                    &monitor,
-                    &obs,
-                    &dead,
-                    &plane,
-                    s as u32,
-                    max_restarts,
-                );
-            })
-            .expect("spawning a shard worker thread");
-        handles.push(handle);
-    }
-    // The shard workers hold the only incident senders now, so the
-    // consumer's iterator ends exactly when the last shard finishes.
-    drop(incidents);
-
-    let mut attempts = 0u32;
-    loop {
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_sharded_ingest(skynet, scfg, events, &router, &shard_txs, shared);
-        }));
-        match outcome {
-            Ok(()) => break,
-            Err(payload) => {
-                attempts += 1;
-                shared.monitor.count_restart();
-                if attempts > scfg.max_restarts {
-                    shared.monitor.give_up(panic_cause(&payload, attempts));
-                    break;
-                }
-                // A fresh ingest incarnation restarts trace ids at 1.
-                if let Some(ring) = shared.obs.recorder() {
-                    ring.clear();
-                }
-            }
-        }
-    }
-    // Closing the shard channels is the flush signal: each worker
-    // finalizes its open incidents and exits.
-    drop(shard_txs);
-    for handle in handles {
-        let _ = handle.join();
-    }
-    shared.monitor.mark_dead();
-}
-
-/// One incarnation of the sharded ingest worker: fresh guard/preprocessor
-/// state, counters based on what earlier incarnations published.
-fn run_sharded_ingest(
-    skynet: &SkyNet,
-    scfg: &StreamingConfig,
-    events: &Receiver<StreamEvent>,
-    router: &ShardRouter,
-    shard_txs: &[Sender<ShardEvent>],
-    shared: &WorkerShared,
-) {
-    // The ingest worker owns the ingestion-side sites on lane 0; shard
-    // workers own the locate/evaluate sites on their own lanes.
-    let arm = |site: InjectionSite| shared.plane.as_ref().and_then(|p| p.arm(site, 0));
-    let mut preprocessor =
-        Preprocessor::new(skynet.cfg.preprocessor.clone(), skynet.classifier.clone())
-            .with_observability(&shared.obs)
-            .with_faults(
-                arm(InjectionSite::PreprocessClassify),
-                arm(InjectionSite::PreprocessConsolidate),
-            );
-    let mut guard =
-        IngestGuard::with_dead_letters(&skynet.topo, scfg.guard.clone(), Arc::clone(&shared.dead))
-            .with_observability(&shared.obs)
-            .with_faults(
-                arm(InjectionSite::GuardOffer),
-                arm(InjectionSite::GuardValidate),
-            );
-    let route_fault = arm(InjectionSite::ShardRoute);
-    let mut released: Vec<RawAlert> = Vec::new();
-    let mut structured: Vec<StructuredAlert> = Vec::new();
-    let base = *shared.counters.lock();
-    let tracer = shared.obs.tracer();
-    let mut since_publish: u64 = 0;
-
-    for event in events.iter() {
-        match event {
-            StreamEvent::Alert(raw) => {
-                let _ = guard.offer(raw, &mut released);
-                route_released(
-                    &mut released,
-                    &mut structured,
-                    &mut preprocessor,
-                    router,
-                    &route_fault,
-                    shard_txs,
-                    &tracer,
-                );
-                since_publish += 1;
-                if since_publish >= scfg.stats_interval {
-                    publish(shared, base, &preprocessor, &guard);
-                    since_publish = 0;
-                }
-            }
-            StreamEvent::Ping(sample) => broadcast(shard_txs, ShardEvent::Ping(sample)),
-            StreamEvent::Tick(now) => {
-                guard.advance(now, &mut released);
-                route_released(
-                    &mut released,
-                    &mut structured,
-                    &mut preprocessor,
-                    router,
-                    &route_fault,
-                    shard_txs,
-                    &tracer,
-                );
-                broadcast(shard_txs, ShardEvent::Tick(now));
-                publish(shared, base, &preprocessor, &guard);
-                since_publish = 0;
-            }
-            StreamEvent::Flush => break,
-            StreamEvent::ChaosPanic => broadcast(shard_txs, ShardEvent::ChaosPanic),
-        }
-    }
-    // Flush (or all producers hung up): release everything still buffered.
-    guard.flush(&mut released);
-    route_released(
-        &mut released,
-        &mut structured,
-        &mut preprocessor,
-        router,
-        &route_fault,
-        shard_txs,
-        &tracer,
-    );
-    preprocessor.finish();
-    publish(shared, base, &preprocessor, &guard);
-}
-
-/// Sends one event to every shard. A send fails only when that shard's
-/// supervisor gave up; the remaining shards keep receiving.
-fn broadcast(shard_txs: &[Sender<ShardEvent>], event: ShardEvent) {
-    for tx in shard_txs {
-        let _ = tx.send(event.clone());
-    }
-}
-
-/// Preprocesses guard-released raw alerts and routes each structured alert
-/// to its region's shard.
-#[allow(clippy::too_many_arguments)]
-fn route_released(
-    released: &mut Vec<RawAlert>,
-    structured: &mut Vec<StructuredAlert>,
-    preprocessor: &mut Preprocessor,
-    router: &ShardRouter,
-    route_fault: &Option<FaultArm>,
-    shard_txs: &[Sender<ShardEvent>],
-    tracer: &StageTracer,
-) {
-    for raw in released.drain(..) {
-        structured.clear();
-        preprocessor.push(&raw, structured);
-        for alert in structured.drain(..) {
-            let shard = if faultinject::trip(route_fault, alert.trace, alert.last_seen) {
-                // Misroute to the fallback shard: the alert still lands in
-                // *a* locator, modeling a routing-table fault.
-                FALLBACK_SHARD
-            } else {
-                router.route(&alert.location)
-            };
-            tracer.record(
-                alert.trace,
-                alert.last_seen,
-                Stage::ShardRouted(shard as u16),
-            );
-            let _ = shard_txs[shard].send(ShardEvent::Alert(alert));
-        }
-    }
-}
-
-/// Restarts one shard worker after panics, up to its own budget.
-#[allow(clippy::too_many_arguments)]
-fn supervise_shard(
-    topo: &Arc<Topology>,
-    locator_cfg: &LocatorConfig,
-    evaluator_cfg: &EvaluatorConfig,
-    events: &Receiver<ShardEvent>,
-    incidents: &Sender<StreamIncident>,
-    monitor: &Monitor,
-    obs: &Observability,
-    dead: &Arc<Mutex<DeadLetterQueue>>,
-    plane: &Option<Arc<FaultPlane>>,
-    lane: u32,
-    max_restarts: u32,
-) {
-    let mut attempts = 0u32;
-    loop {
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_shard_worker(
-                topo,
-                locator_cfg,
-                evaluator_cfg,
-                events,
-                incidents,
-                obs,
-                dead,
-                plane,
-                lane,
-            );
-        }));
-        match outcome {
-            Ok(()) => break,
-            Err(payload) => {
-                attempts += 1;
-                monitor.count_restart();
-                // Attribute the restart to the alert whose injected fault
-                // triggered it (no-op for organic panics: the arm never
-                // fired, so the trace id is NONE).
-                if let Some(arm) = plane
-                    .as_ref()
-                    .and_then(|p| p.arm(InjectionSite::LocateWorker, lane))
-                {
-                    obs.tracer().record(
-                        arm.last_fired_trace(),
-                        arm.last_fired_at(),
-                        Stage::WorkerRestarted(lane as u16),
-                    );
-                }
-                if attempts > max_restarts {
-                    monitor.give_up(panic_cause(&payload, attempts));
-                    break;
-                }
-            }
-        }
-    }
-}
-
-/// One incarnation of a shard worker: locate, evaluate and emit incidents
-/// for this shard's regions. State is shard-local and rebuilt fresh on
-/// restart.
-#[allow(clippy::too_many_arguments)]
-fn run_shard_worker(
-    topo: &Arc<Topology>,
-    locator_cfg: &LocatorConfig,
-    evaluator_cfg: &EvaluatorConfig,
-    events: &Receiver<ShardEvent>,
-    incidents: &Sender<StreamIncident>,
-    obs: &Observability,
-    dead: &Arc<Mutex<DeadLetterQueue>>,
-    plane: &Option<Arc<FaultPlane>>,
-    lane: u32,
-) {
-    let arm = |site: InjectionSite| plane.as_ref().and_then(|p| p.arm(site, lane));
-    let mut locator = Locator::new(topo, locator_cfg.clone()).with_observability(obs);
-    let evaluator = Evaluator::new(topo, evaluator_cfg.clone()).with_faults(
-        arm(InjectionSite::MatrixBuild),
-        arm(InjectionSite::Evaluate),
-    );
-    let mut memo = MatrixMemo::new().with_observability(obs);
-    let sop = SopEngine::standard(topo);
-    let locate_fault = arm(InjectionSite::LocateWorker);
-    let sop_fault = arm(InjectionSite::SopSelect);
-    let mut ping = PingLog::new();
-    let tracer = obs.tracer();
-    let completed = obs.registry().counter(
-        "skynet_incidents_completed_total",
-        "incidents whose trees finalized",
-    );
-    for event in events.iter() {
-        match event {
-            ShardEvent::Alert(alert) => {
-                if locate_fault_skips(&locate_fault, &alert, dead) {
-                    continue;
-                }
-                tracer.record(alert.trace, alert.last_seen, Stage::LocateInserted);
-                locator.insert(&alert);
-            }
-            ShardEvent::Ping(sample) => {
-                ping.record(sample.t, sample.src, sample.dst, sample.loss);
-            }
-            ShardEvent::Tick(now) => locator.advance(now),
-            ShardEvent::ChaosPanic => panic!("chaos: injected shard worker panic"),
-        }
-        if !drain_completed(
-            &mut locator,
-            &ping,
-            &evaluator,
-            &mut memo,
-            &sop,
-            &sop_fault,
-            incidents,
-            &tracer,
-            &completed,
-        ) {
-            return; // receiver gone
-        }
-    }
-    // Channel closed (flush, or the ingest worker gave up): finalize.
-    locator.finish();
-    let _ = drain_completed(
-        &mut locator,
-        &ping,
-        &evaluator,
-        &mut memo,
-        &sop,
-        &sop_fault,
-        incidents,
-        &tracer,
-        &completed,
-    );
-}
-
-/// Runs released raw alerts through preprocessing into the locator.
-#[allow(clippy::too_many_arguments)]
-fn feed(
-    released: &[RawAlert],
-    structured: &mut Vec<StructuredAlert>,
-    preprocessor: &mut Preprocessor,
-    locator: &mut Locator,
-    tracer: &StageTracer,
-    locate_fault: &Option<FaultArm>,
-    dead: &Arc<Mutex<DeadLetterQueue>>,
-) {
-    for raw in released {
-        structured.clear();
-        preprocessor.push(raw, structured);
-        for s in structured.iter() {
-            if locate_fault_skips(locate_fault, s, dead) {
-                continue;
-            }
-            tracer.record(s.trace, s.last_seen, Stage::LocateInserted);
-            locator.insert(s);
-        }
-    }
-}
-
-/// Checks the locate-worker injection arm for one structured alert.
-/// Returns `true` when the alert must be skipped (it has been
-/// dead-lettered). A `Panic` action also dead-letters first: streaming
-/// events are consumed from the channel, so a restarted incarnation can
-/// never replay them — quarantining before unwinding is what keeps
-/// `Failure`-class evidence from vanishing.
-fn locate_fault_skips(
-    locate_fault: &Option<FaultArm>,
-    alert: &StructuredAlert,
-    dead: &Arc<Mutex<DeadLetterQueue>>,
-) -> bool {
-    let Some(arm) = locate_fault else {
-        return false;
-    };
-    match arm.check(alert.trace, alert.last_seen) {
-        Some(FaultAction::Error) => {
-            push_fault_letter(dead, alert);
-            true
-        }
-        Some(FaultAction::Panic) => {
-            push_fault_letter(dead, alert);
-            arm.panic_now()
-        }
-        Some(FaultAction::Latency(ms)) => {
-            faultinject::sleep_ms(ms);
-            false
-        }
-        None => false,
-    }
+    engine.flush();
+    publish(shared, base, &engine);
+    let _ = drain_completed(&mut engine);
 }
 
 /// Publishes counter snapshots: earlier incarnations' base plus this
 /// incarnation's counters, with shed counts taken live from the producer
 /// side. Both families are written under one lock acquisition so readers
 /// always see a pair from the same pass.
-fn publish(
-    shared: &WorkerShared,
-    base: SharedCounters,
-    preprocessor: &Preprocessor,
-    guard: &IngestGuard,
-) {
+fn publish(shared: &WorkerShared, base: SharedCounters, engine: &Engine) {
     let mut next = base;
-    next.preprocess.merge(&preprocessor.stats());
+    next.preprocess.merge(&engine.preprocess_stats());
     next.preprocess.shed_abnormal = shared.monitor.shed_abnormal.load(Ordering::Relaxed);
     next.preprocess.shed_root_cause = shared.monitor.shed_root_cause.load(Ordering::Relaxed);
-    next.ingest.merge(&guard.stats());
+    next.ingest.merge(&engine.ingest_stats());
     *shared.counters.lock() = next;
 }
 
-/// Evaluates and emits every newly-completed incident, with its SOP plan
-/// attached. Returns `false` when the consumer dropped the receiver.
-#[allow(clippy::too_many_arguments)]
-fn drain_completed(
-    locator: &mut Locator,
-    ping: &PingLog,
-    evaluator: &Evaluator,
-    memo: &mut MatrixMemo,
-    sop: &SopEngine,
-    sop_fault: &Option<FaultArm>,
-    incidents: &Sender<StreamIncident>,
-    tracer: &StageTracer,
-    completed: &Counter,
-) -> bool {
-    for incident in locator.take_completed() {
-        completed.inc();
-        if tracer.is_enabled() {
-            for alert in &incident.alerts {
-                tracer.record(
-                    alert.trace,
-                    incident.last_seen,
-                    Stage::IncidentCompleted(incident.id),
-                );
-            }
-        }
-        let sop_trace = incident.alerts.first().map_or(TraceId::NONE, |a| a.trace);
-        let plan = if faultinject::trip(sop_fault, sop_trace, incident.last_seen) {
-            // SOP selection failed: the incident still ships, without its
-            // automatic remediation plan.
-            None
-        } else {
-            sop.match_incident(&incident)
-        };
-        let scored = evaluator.evaluate_memoized(incident, ping, memo);
-        if tracer.is_enabled() {
-            for alert in &scored.incident.alerts {
-                tracer.record(
-                    alert.trace,
-                    scored.incident.last_seen,
-                    Stage::Scored(scored.incident.id),
-                );
-            }
-        }
-        if incidents
-            .send(StreamIncident { scored, sop: plan })
-            .is_err()
-        {
-            return false;
-        }
-    }
-    true
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use skynet_model::{DataSource, LocationPath};
     use skynet_topology::{generate, DeviceRole, GeneratorConfig, TopologyBuilder};
 
-    fn topo() -> Arc<Topology> {
+    pub(crate) fn topo() -> Arc<Topology> {
         Arc::new(generate(&GeneratorConfig::small()))
     }
 
@@ -2160,7 +1616,7 @@ mod tests {
             .unwrap();
         handle.events.send(StreamEvent::Flush).unwrap();
         let streamed: Vec<StreamIncident> = handle.incidents.iter().collect();
-        handle.worker.join().unwrap();
+        handle.join().unwrap();
 
         assert_eq!(streamed.len(), batch.incidents.len());
         assert_eq!(
@@ -2267,38 +1723,40 @@ mod tests {
             .expect("incident finalizes on tick");
         assert_eq!(emitted.scored.incident.root, site);
         handle.events.send(StreamEvent::Flush).unwrap();
-        handle.worker.join().unwrap();
+        handle.join().unwrap();
     }
 
     #[test]
     fn supervisor_restarts_worker_after_poison_event() {
         let t = topo();
-        let site = t.clusters()[0].parent();
-        let skynet = SkyNet::builder(&t)
-            .config(PipelineConfig::production())
-            .build();
-        let handle = skynet.stream();
-        assert!(handle.is_alive());
-        // Poison first, then the flood: the restarted worker must analyze
-        // it with fresh state as if nothing happened.
-        handle.events.send(StreamEvent::ChaosPanic).unwrap();
-        for a in flood(&site) {
-            handle.events.send(StreamEvent::Alert(a)).unwrap();
+        let alerts = two_region_flood(&t);
+        for shards in [1, 2] {
+            let mut cfg = PipelineConfig::production();
+            cfg.streaming.shards = shards;
+            let handle = SkyNet::builder(&t).config(cfg).stream();
+            assert!(handle.is_alive());
+            // Poison first, then the flood: the restarted worker must
+            // analyze it with fresh state as if nothing happened. One
+            // worker owns every locator, so the panic costs one restart at
+            // any shard count.
+            handle.events.send(StreamEvent::ChaosPanic).unwrap();
+            for a in &alerts {
+                handle.events.send(StreamEvent::Alert(a.clone())).unwrap();
+            }
+            handle
+                .events
+                .send(StreamEvent::Tick(SimTime::from_mins(30)))
+                .unwrap();
+            handle.events.send(StreamEvent::Flush).unwrap();
+            let streamed: Vec<StreamIncident> = handle.incidents.iter().collect();
+            handle.join().unwrap();
+            assert_eq!(streamed.len(), 2, "both regions still produce incidents");
+            let health = handle.health();
+            assert_eq!(health.restarts, 1, "shards = {shards}");
+            assert!(!health.gave_up);
+            assert!(!health.alive, "worker exited after flush");
+            assert_eq!(handle.snapshot().restarts, 1);
         }
-        handle
-            .events
-            .send(StreamEvent::Tick(SimTime::from_mins(30)))
-            .unwrap();
-        handle.events.send(StreamEvent::Flush).unwrap();
-        let streamed: Vec<StreamIncident> = handle.incidents.iter().collect();
-        handle.worker.join().unwrap();
-        assert_eq!(streamed.len(), 1);
-        assert_eq!(streamed[0].scored.incident.root, site);
-        let health = handle.health();
-        assert_eq!(health.restarts, 1);
-        assert!(!health.gave_up);
-        assert!(!health.alive, "worker exited after flush");
-        assert_eq!(handle.snapshot().restarts, 1);
     }
 
     #[test]
@@ -2310,7 +1768,7 @@ mod tests {
         let handle = skynet.stream();
         handle.events.send(StreamEvent::ChaosPanic).unwrap();
         handle.events.send(StreamEvent::ChaosPanic).unwrap();
-        handle.worker.join().unwrap();
+        handle.join().unwrap();
         let health = handle.health();
         assert!(health.gave_up);
         assert!(!health.alive);
@@ -2326,9 +1784,37 @@ mod tests {
         assert_eq!(handle.send_alert(alert), Err(SkyNetError::ChannelClosed));
     }
 
+    #[test]
+    fn exhausted_supervisor_preserves_the_injected_cause() {
+        use crate::faultinject::FaultRule;
+        let t = topo();
+        let site = t.clusters()[0].parent();
+        let mut cfg = PipelineConfig::production().with_faults(FaultConfig::seeded(17).with_rule(
+            FaultRule::once(InjectionSite::LocateWorker, 2, FaultAction::Panic),
+        ));
+        cfg.streaming.max_restarts = 0;
+        let handle = SkyNet::builder(&t).config(cfg).stream();
+        for a in flood(&site) {
+            // The worker dies mid-feed; later sends may hit a closed channel.
+            if handle.events.send(StreamEvent::Alert(a)).is_err() {
+                break;
+            }
+        }
+        let _ = handle.events.send(StreamEvent::Flush);
+        handle.join().unwrap();
+        let health = handle.health();
+        assert!(health.gave_up);
+        assert_eq!(
+            health.degraded,
+            Some(SkyNetError::FaultInjected {
+                site: InjectionSite::LocateWorker
+            })
+        );
+    }
+
     /// A flood hitting one site in each of `small()`'s two regions — the
     /// smallest input that actually exercises cross-shard routing.
-    fn two_region_flood(t: &Arc<Topology>) -> Vec<RawAlert> {
+    pub(crate) fn two_region_flood(t: &Arc<Topology>) -> Vec<RawAlert> {
         let site = |region: &str| {
             t.clusters()
                 .iter()
@@ -2438,7 +1924,7 @@ mod tests {
             .unwrap();
         handle.events.send(StreamEvent::Flush).unwrap();
         let streamed: Vec<StreamIncident> = handle.incidents.iter().collect();
-        handle.worker.join().unwrap();
+        handle.join().unwrap();
 
         // Shards emit in completion order, not ranked order; compare as
         // sets keyed by what the locator decided.
@@ -2463,35 +1949,6 @@ mod tests {
         // parity with the batch run survives sharding.
         assert_eq!(handle.preprocess_stats(), batch.preprocess);
         assert_eq!(handle.ingest_stats(), batch.ingest);
-    }
-
-    #[test]
-    fn shard_workers_restart_independently() {
-        let t = topo();
-        let alerts = two_region_flood(&t);
-        let mut cfg = PipelineConfig::production();
-        cfg.streaming.shards = 2;
-        let handle = SkyNet::builder(&t).config(cfg).stream();
-        // One chaos event is broadcast to every shard; each catches its own
-        // panic and restarts with fresh shard-local state while the ingest
-        // worker keeps running.
-        handle.events.send(StreamEvent::ChaosPanic).unwrap();
-        for a in &alerts {
-            handle.events.send(StreamEvent::Alert(a.clone())).unwrap();
-        }
-        handle
-            .events
-            .send(StreamEvent::Tick(SimTime::from_mins(30)))
-            .unwrap();
-        handle.events.send(StreamEvent::Flush).unwrap();
-        let streamed: Vec<StreamIncident> = handle.incidents.iter().collect();
-        handle.worker.join().unwrap();
-
-        assert_eq!(streamed.len(), 2, "both regions still produce incidents");
-        let health = handle.health();
-        assert_eq!(health.restarts, 2, "one restart per shard, none for ingest");
-        assert!(!health.gave_up);
-        assert!(!health.alive, "runtime exited after flush");
     }
 
     #[test]
@@ -2524,7 +1981,7 @@ mod tests {
             .unwrap();
         handle.events.send(StreamEvent::Flush).unwrap();
         let streamed: Vec<StreamIncident> = handle.incidents.iter().collect();
-        handle.worker.join().unwrap();
+        handle.join().unwrap();
         assert_eq!(streamed.len(), 1);
         let snap = handle.snapshot();
         assert_eq!(snap.preprocess.shed(), 0);
@@ -2583,7 +2040,7 @@ mod tests {
             .unwrap();
         handle.events.send(StreamEvent::Flush).unwrap();
         let streamed: Vec<StreamIncident> = handle.incidents.iter().collect();
-        handle.worker.join().unwrap();
+        handle.join().unwrap();
         assert_eq!(streamed.len(), 1);
         let prom = handle.prometheus();
         assert!(prom.contains("skynet_ingest_accepted_total 41"));
@@ -2633,7 +2090,7 @@ mod tests {
         }
         handle.events.send(StreamEvent::Flush).unwrap();
         let _: Vec<StreamIncident> = handle.incidents.iter().collect();
-        handle.worker.join().unwrap();
+        handle.join().unwrap();
         let after = handle.snapshot();
         assert_eq!(after.restarts, 1);
         assert!(after.ingest.accepted >= before.ingest.accepted);

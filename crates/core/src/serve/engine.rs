@@ -1,24 +1,15 @@
-//! One tenant's pipeline incarnation inside the ingest service.
-//!
-//! A [`TenantEngine`] is the serving-layer counterpart of one streaming
-//! worker: an ingest guard, a preprocessor and one locator per configured
-//! shard, fed WAL events in sequence order. It is deliberately
-//! *deterministic in the WAL*: applying the same records to a fresh engine
-//! — or to one restored from a snapshot plus the WAL tail — produces
-//! byte-identical state, which is what makes warm restarts and `skynet
-//! replay` honest.
+//! One tenant's pipeline incarnation inside the ingest service: the shared
+//! [`Engine`] plus what only a WAL-fed tenant has — a name, the applied-WAL
+//! watermark and the [`WalEvent`] dispatch.
 
 use super::snapshot::TenantSnapshot;
 use super::wal::WalEvent;
-use crate::faultinject::{self, FaultAction, FaultArm, FaultPlane, InjectionSite};
-use crate::guard::{DeadLetter, DeadLetterQueue, IngestGuard};
-use crate::locator::{Incident, Locator};
-use crate::obs::{Stage, StageTracer};
-use crate::pipeline::{merge_incidents, AnalysisReport, SkyNet};
-use crate::preprocess::Preprocessor;
-use crate::shard::{ShardRouter, FALLBACK_SHARD};
+use crate::engine::{Engine, EngineState};
+use crate::faultinject::FaultPlane;
+use crate::guard::DeadLetterQueue;
+use crate::pipeline::SkyNet;
 use parking_lot::Mutex;
-use skynet_model::{RawAlert, SimTime, StructuredAlert};
+use skynet_model::SimTime;
 use std::sync::Arc;
 
 /// Fault-injection lanes are striped per tenant so two tenants' decision
@@ -28,150 +19,68 @@ pub(crate) const TENANT_LANE_STRIDE: u32 = 64;
 
 /// One tenant's full pipeline state, advanced one WAL event at a time.
 pub(crate) struct TenantEngine {
-    name: String,
-    guard: IngestGuard,
-    preprocessor: Preprocessor,
-    locators: Vec<Locator>,
-    router: ShardRouter,
-    ping: skynet_model::PingLog,
-    tracer: StageTracer,
-    route_fault: Option<FaultArm>,
-    locate_faults: Vec<Option<FaultArm>>,
-    dead: Arc<Mutex<DeadLetterQueue>>,
+    pub(super) name: String,
+    /// The highest WAL sequence number applied so far.
+    pub(super) last_applied_seq: u64,
+    /// The tenant's pipeline clock (last tick applied).
     clock: SimTime,
-    last_applied_seq: u64,
-    released: Vec<RawAlert>,
-    structured: Vec<StructuredAlert>,
+    pub(super) engine: Engine,
 }
 
 impl TenantEngine {
-    /// A fresh engine for `name`, wired to the pipeline's config,
-    /// observability and fault plane. `tenant_index` fixes the tenant's
-    /// fault-lane stripe, so arming and replay are stable across restarts
-    /// as long as tenants keep their admission order.
+    /// A fresh incarnation for `name` with its own empty dead-letter
+    /// queue. `tenant_index` fixes the tenant's fault-lane stripe, so
+    /// arming and replay are stable across restarts as long as tenants
+    /// keep their admission order.
     pub(crate) fn new(
         skynet: &SkyNet,
         name: &str,
         tenant_index: usize,
-        dead: Arc<Mutex<DeadLetterQueue>>,
         plane: &Option<Arc<FaultPlane>>,
     ) -> TenantEngine {
-        let shards = skynet.cfg.streaming.shards.max(1);
-        let lane_base = tenant_index as u32 * TENANT_LANE_STRIDE;
-        let arm = |site: InjectionSite, lane: u32| plane.as_ref().and_then(|p| p.arm(site, lane));
-        let guard = IngestGuard::with_dead_letters(
-            &skynet.topo,
-            skynet.cfg.streaming.guard.clone(),
-            Arc::clone(&dead),
-        )
-        .with_observability(&skynet.obs)
-        .with_faults(
-            arm(InjectionSite::GuardOffer, lane_base),
-            arm(InjectionSite::GuardValidate, lane_base),
-        );
-        let preprocessor =
-            Preprocessor::new(skynet.cfg.preprocessor.clone(), skynet.classifier.clone())
-                .with_observability(&skynet.obs)
-                .with_faults(
-                    arm(InjectionSite::PreprocessClassify, lane_base),
-                    arm(InjectionSite::PreprocessConsolidate, lane_base),
-                );
-        let locators = (0..shards)
-            .map(|_| {
-                Locator::new(&skynet.topo, skynet.cfg.locator.clone())
-                    .with_observability(&skynet.obs)
-            })
-            .collect();
-        let locate_faults = (0..shards)
-            .map(|s| arm(InjectionSite::LocateWorker, lane_base + s as u32))
-            .collect();
+        let dead = Arc::new(Mutex::new(DeadLetterQueue::new(
+            skynet.cfg.streaming.guard.dead_letter_capacity,
+        )));
         TenantEngine {
             name: name.to_string(),
-            guard,
-            preprocessor,
-            locators,
-            router: ShardRouter::new(skynet.topo.interner(), shards),
-            ping: skynet_model::PingLog::new(),
-            tracer: skynet.obs.tracer(),
-            route_fault: arm(InjectionSite::ShardRoute, lane_base),
-            locate_faults,
-            dead,
-            clock: SimTime::ZERO,
             last_applied_seq: 0,
-            released: Vec::new(),
-            structured: Vec::new(),
+            clock: SimTime::ZERO,
+            engine: Engine::new(
+                skynet,
+                tenant_index as u32 * TENANT_LANE_STRIDE,
+                dead,
+                plane,
+            ),
         }
     }
 
-    /// Rebuilds an engine from a snapshot: fresh stages over the same
+    /// Rebuilds an incarnation from a snapshot: fresh stages over the same
     /// topology, then each stage's serialized state restored onto it.
     pub(crate) fn restore(
         skynet: &SkyNet,
         tenant_index: usize,
-        dead: Arc<Mutex<DeadLetterQueue>>,
         plane: &Option<Arc<FaultPlane>>,
         snap: TenantSnapshot,
     ) -> TenantEngine {
-        let mut engine = TenantEngine::new(skynet, &snap.name, tenant_index, dead, plane);
-        // ServiceHandle::start validates shard count and topology base
-        // before calling restore (returning ServeError::Corrupt); this
-        // assert only backstops callers that skipped that validation.
-        assert_eq!(
-            snap.locators.len(),
-            engine.locators.len(),
-            "snapshot shard count must match the configured shard count"
-        );
-        engine.guard.restore_state(snap.guard);
-        engine.preprocessor.restore_state(snap.preprocess);
-        for (locator, state) in engine.locators.iter_mut().zip(snap.locators) {
-            locator.restore_state(state);
-        }
-        engine.ping = snap.ping;
-        engine.clock = snap.clock;
-        engine.last_applied_seq = snap.last_applied_seq;
-        engine
+        let mut tenant = TenantEngine::new(skynet, &snap.name, tenant_index, plane);
+        tenant.engine.restore(EngineState {
+            guard: snap.guard,
+            preprocess: snap.preprocess,
+            locators: snap.locators,
+            ping: snap.ping,
+        });
+        tenant.clock = snap.clock;
+        tenant.last_applied_seq = snap.last_applied_seq;
+        tenant
     }
 
-    /// The tenant's name.
-    pub(crate) fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The highest WAL sequence number applied so far.
-    pub(crate) fn last_applied_seq(&self) -> u64 {
-        self.last_applied_seq
-    }
-
-    /// The tenant's pipeline clock (last tick applied).
-    pub(crate) fn clock(&self) -> SimTime {
-        self.clock
-    }
-
-    /// The dead-letter queue this incarnation quarantines into.
-    pub(crate) fn dead_letters(&self) -> Arc<Mutex<DeadLetterQueue>> {
-        Arc::clone(&self.dead)
-    }
-
-    /// Applies one WAL event — exactly the streaming worker's event loop,
-    /// minus the channel.
+    /// Applies one WAL event.
     pub(crate) fn apply(&mut self, seq: u64, event: WalEvent) {
         match event {
-            WalEvent::Alert(raw) => {
-                self.released.clear();
-                let _ = self.guard.offer(raw, &mut self.released);
-                self.feed_released();
-            }
-            WalEvent::Ping(sample) => {
-                self.ping
-                    .record(sample.t, sample.src, sample.dst, sample.loss);
-            }
+            WalEvent::Alert(raw) => self.engine.alert(raw),
+            WalEvent::Ping(sample) => self.engine.ping(sample),
             WalEvent::Tick(now) => {
-                self.released.clear();
-                self.guard.advance(now, &mut self.released);
-                self.feed_released();
-                for locator in &mut self.locators {
-                    locator.advance(now);
-                }
+                self.engine.tick(now);
                 self.clock = now;
             }
             WalEvent::ReportBoundary(_) => {
@@ -183,52 +92,9 @@ impl TenantEngine {
         self.last_applied_seq = self.last_applied_seq.max(seq);
     }
 
-    /// Routes everything the guard just released through preprocess and
-    /// into the shard-affine locators, honoring the shard-route and
-    /// locate-worker fault arms exactly like the batch path.
-    fn feed_released(&mut self) {
-        let released = std::mem::take(&mut self.released);
-        for raw in &released {
-            self.structured.clear();
-            self.preprocessor.push(raw, &mut self.structured);
-            for alert in self.structured.drain(..) {
-                let shard = if faultinject::trip(&self.route_fault, alert.trace, alert.last_seen) {
-                    FALLBACK_SHARD
-                } else {
-                    self.router.route(&alert.location)
-                };
-                self.tracer.record(
-                    alert.trace,
-                    alert.last_seen,
-                    Stage::ShardRouted(shard as u16),
-                );
-                if let Some(arm) = &self.locate_faults[shard] {
-                    match arm.check(alert.trace, alert.last_seen) {
-                        Some(FaultAction::Error) => {
-                            fault_letter(&self.dead, &alert);
-                            continue;
-                        }
-                        Some(FaultAction::Panic) => {
-                            // Quarantine before unwinding: the event is
-                            // already consumed from the queue, so the
-                            // letter is the only surviving evidence.
-                            fault_letter(&self.dead, &alert);
-                            arm.panic_now()
-                        }
-                        Some(FaultAction::Latency(ms)) => faultinject::sleep_ms(ms),
-                        None => {}
-                    }
-                }
-                self.tracer
-                    .record(alert.trace, alert.last_seen, Stage::LocateInserted);
-                self.locators[shard].insert(&alert);
-            }
-        }
-        self.released = released;
-    }
-
-    /// Serializes the engine for a service snapshot.
+    /// Serializes the tenant for a service snapshot.
     pub(crate) fn snapshot(&self) -> TenantSnapshot {
+        let state = self.engine.snapshot();
         TenantSnapshot {
             name: self.name.clone(),
             last_applied_seq: self.last_applied_seq,
@@ -236,70 +102,10 @@ impl TenantEngine {
             // the sequencer's counters.
             next_seq: 0,
             clock: self.clock,
-            guard: self.guard.snapshot_state(),
-            preprocess: self.preprocessor.snapshot_state(),
-            locators: self.locators.iter().map(|l| l.snapshot_state()).collect(),
-            ping: self.ping.clone(),
+            guard: state.guard,
+            preprocess: state.preprocess,
+            locators: state.locators,
+            ping: state.ping,
         }
     }
-
-    /// Finalizes the tenant's run — flush the guard, close every
-    /// consolidation window, sweep the locators to `horizon` — and
-    /// assembles the canonical [`AnalysisReport`]. Consumes the engine;
-    /// the service starts a fresh incarnation afterwards.
-    pub(crate) fn finish(
-        mut self,
-        skynet: &SkyNet,
-        horizon: SimTime,
-        plane: Option<Arc<FaultPlane>>,
-    ) -> AnalysisReport {
-        self.released.clear();
-        let mut released = std::mem::take(&mut self.released);
-        self.guard.flush(&mut released);
-        self.released = released;
-        self.feed_released();
-        self.preprocessor.finish();
-        let mut parts: Vec<Vec<Incident>> = Vec::with_capacity(self.locators.len());
-        for locator in &mut self.locators {
-            locator.advance(horizon);
-            locator.finish();
-            parts.push(locator.take_completed());
-        }
-        let incidents = merge_incidents(parts);
-        // Completion events carry the canonical (post-merge) incident ids,
-        // mirroring the batch path.
-        for incident in &incidents {
-            for alert in &incident.alerts {
-                self.tracer.record(
-                    alert.trace,
-                    incident.last_seen,
-                    Stage::IncidentCompleted(incident.id),
-                );
-            }
-        }
-        let dead_letters: Vec<DeadLetter> = self.dead.lock().letters().cloned().collect();
-        skynet.finish_report(
-            incidents,
-            &self.ping,
-            self.preprocessor.stats(),
-            self.guard.stats(),
-            dead_letters,
-            plane,
-        )
-    }
-}
-
-/// Synthesizes a dead letter for a structured alert a locate fault
-/// intercepted past the guard, so chaos runs never lose evidence silently.
-fn fault_letter(dead: &Arc<Mutex<DeadLetterQueue>>, alert: &StructuredAlert) {
-    let raw = RawAlert::known(
-        alert.ty.source,
-        alert.last_seen,
-        alert.location.clone(),
-        alert.ty.kind,
-    )
-    .with_magnitude(alert.magnitude)
-    .with_trace(alert.trace);
-    dead.lock()
-        .push(raw, crate::error::RejectReason::FaultInjected);
 }

@@ -69,8 +69,6 @@ struct Batch {
 /// Control operations the committer executes after the batch's frames, in
 /// ticket order.
 enum Control {
-    /// Force an fsync of the current segment.
-    Sync,
     /// Raise per-tenant snapshot floors and run retention.
     Retain(Vec<(u32, u64)>),
 }
@@ -285,11 +283,6 @@ impl GroupWal {
         }
     }
 
-    /// Forces an fsync of the current segment (used at shutdown).
-    pub(super) fn sync(&self) -> Result<(), ServeError> {
-        self.control(Control::Sync)
-    }
-
     /// Raises per-tenant snapshot floors and runs retention on the
     /// committer thread, synchronously.
     pub(super) fn retain_after_snapshot(&self, floors: &[(String, u64)]) -> Result<(), ServeError> {
@@ -419,17 +412,12 @@ fn run_committer(shared: &GroupShared, mut writer: WalWriter) {
             if error.is_some() {
                 continue;
             }
-            let outcome = match control {
-                Control::Sync => writer.sync(),
-                Control::Retain(floors) => {
-                    let resolved: Vec<(&str, u64)> = floors
-                        .iter()
-                        .map(|(id, seq)| (names[*id as usize].as_str(), *seq))
-                        .collect();
-                    writer.retain_after_snapshot(&resolved)
-                }
-            };
-            if let Err(e) = outcome {
+            let Control::Retain(floors) = control;
+            let resolved: Vec<(&str, u64)> = floors
+                .iter()
+                .map(|(id, seq)| (names[*id as usize].as_str(), *seq))
+                .collect();
+            if let Err(e) = writer.retain_after_snapshot(&resolved) {
                 error = Some(e.to_string());
             }
         }

@@ -177,11 +177,8 @@ impl ServiceInner {
             return Ok(());
         }
         let index = tenants.len();
-        let dead = Arc::new(Mutex::new(DeadLetterQueue::new(
-            self.skynet.cfg.streaming.guard.dead_letter_capacity,
-        )));
-        let engine = TenantEngine::new(&self.skynet, tenant, index, Arc::clone(&dead), &self.plane);
-        let slot = self.new_slot(tenant, index, dead);
+        let engine = TenantEngine::new(&self.skynet, tenant, index, &self.plane);
+        let slot = self.new_slot(tenant, index, engine.engine.dead_letters());
         tenants.push(Arc::clone(&slot));
         self.obs
             .registry()
@@ -234,61 +231,47 @@ impl ServiceInner {
         self.workers.lock().push(handle);
     }
 
+    /// Single-event submission: a batch of one through the one admission
+    /// path. An injected `wal-append` rejection surfaces as
+    /// [`ServeError::WalRejected`].
+    pub(super) fn submit(&self, tenant: &str, event: WalEvent) -> Result<u64, ServeError> {
+        let ack = self.submit_batch(tenant, std::iter::once(event))?;
+        if ack.accepted == 0 {
+            return Err(ServeError::WalRejected);
+        }
+        Ok(ack.first_seq)
+    }
+
     /// The one submission path: capacity check, sequence into the group
     /// WAL, enqueue, then wait for durability and ack. The queue lock is
     /// held across sequencing (never across the fsync) so a tenant's
     /// queue order equals its WAL order, while the durability wait runs
     /// lock-free — one tenant's flush stalls nobody else's sequencing.
-    pub(super) fn submit(&self, tenant: &str, event: WalEvent) -> Result<u64, ServeError> {
-        if self.is_shutting_down() {
-            return Err(ServeError::ShuttingDown);
-        }
-        let started = Instant::now();
-        let slot = self.find(tenant)?;
-        let mut q = slot.queue.lock();
-        if q.items.len() >= self.cfg.tenant_queue_capacity {
-            slot.busy.fetch_add(1, Ordering::Relaxed);
-            slot.busy_metric.inc();
-            return Err(ServeError::Busy {
-                tenant: tenant.to_string(),
-            });
-        }
-        let at = event_time(&event);
-        let (seq, ordinal) = self.wal.begin_submit(slot.wal_id, &event, at)?;
-        q.items.push_back(TenantMsg::Apply(seq, ordinal, event));
-        drop(q);
-        slot.cond.notify_one();
-        self.wal.wait_durable(ordinal)?;
-        slot.accepted.fetch_add(1, Ordering::Relaxed);
-        slot.accepted_metric.inc();
-        self.submit_seconds.observe(started.elapsed().as_secs_f64());
-        Ok(seq)
-    }
-
-    /// Batched submission: sequences every event under one queue-lock
-    /// acquisition (one contiguous per-tenant seq range), then waits for
-    /// durability once — one fsync can cover the whole batch. Capacity is
-    /// checked for the batch up front: a full queue bounces the entire
-    /// batch with `BUSY` and admits nothing. Injected `wal-append`
-    /// rejections drop individual events exactly as one-at-a-time
-    /// submission would (each consumes no seq).
+    ///
+    /// A batch sequences every event under one queue-lock acquisition (one
+    /// contiguous per-tenant seq range), then waits for durability once —
+    /// one fsync can cover the whole batch. Capacity is checked for the
+    /// batch up front: a full queue bounces the entire batch with `BUSY`
+    /// and admits nothing. Injected `wal-append` rejections drop
+    /// individual events (each consumes no seq).
     pub(super) fn submit_batch(
         &self,
         tenant: &str,
-        events: Vec<WalEvent>,
+        events: impl ExactSizeIterator<Item = WalEvent>,
     ) -> Result<BatchAck, ServeError> {
         if self.is_shutting_down() {
             return Err(ServeError::ShuttingDown);
         }
         let started = Instant::now();
         let slot = self.find(tenant)?;
-        if events.is_empty() {
-            return Ok(BatchAck {
-                first_seq: 0,
-                last_seq: 0,
-                accepted: 0,
-                rejected: 0,
-            });
+        let mut ack = BatchAck {
+            first_seq: 0,
+            last_seq: 0,
+            accepted: 0,
+            rejected: 0,
+        };
+        if events.len() == 0 {
+            return Ok(ack);
         }
         let mut q = slot.queue.lock();
         if q.items.len() + events.len() > self.cfg.tenant_queue_capacity {
@@ -298,12 +281,6 @@ impl ServiceInner {
                 tenant: tenant.to_string(),
             });
         }
-        let mut ack = BatchAck {
-            first_seq: 0,
-            last_seq: 0,
-            accepted: 0,
-            rejected: 0,
-        };
         let mut last_ordinal = 0u64;
         for event in events {
             let at = event_time(&event);
@@ -415,23 +392,16 @@ fn run_tenant(inner: Arc<ServiceInner>, slot: Arc<TenantSlot>, mut engine: Tenan
                         inner.restart_metric.inc();
                     }
                     slot.applied_seq
-                        .store(engine.last_applied_seq(), Ordering::Relaxed);
+                        .store(engine.last_applied_seq, Ordering::Relaxed);
                 }
             }
             TenantMsg::Report(horizon, tx) => {
-                let dead = Arc::new(Mutex::new(DeadLetterQueue::new(
-                    inner.skynet.cfg.streaming.guard.dead_letter_capacity,
-                )));
-                let fresh = TenantEngine::new(
-                    &inner.skynet,
-                    &slot.name,
-                    slot.index,
-                    Arc::clone(&dead),
-                    &inner.plane,
-                );
-                *slot.dead.lock() = dead;
+                let fresh = TenantEngine::new(&inner.skynet, &slot.name, slot.index, &inner.plane);
+                *slot.dead.lock() = fresh.engine.dead_letters();
                 let done = std::mem::replace(&mut engine, fresh);
-                let report = done.finish(&inner.skynet, horizon, inner.plane.clone());
+                let report = done
+                    .engine
+                    .finish(&inner.skynet, horizon, inner.plane.clone());
                 let _ = tx.send(report);
                 slot.applied_seq.store(0, Ordering::Relaxed);
             }
@@ -591,29 +561,21 @@ impl ServiceHandle {
         let mut engines: Vec<TenantEngine> = Vec::new();
         if let Some(snap) = snap {
             for tenant_snap in snap.tenants {
-                let dead = Arc::new(Mutex::new(DeadLetterQueue::new(
-                    inner.skynet.cfg.streaming.guard.dead_letter_capacity,
-                )));
                 engines.push(TenantEngine::restore(
                     &inner.skynet,
                     engines.len(),
-                    dead,
                     &inner.plane,
                     tenant_snap,
                 ));
             }
         }
         for record in &records {
-            if !engines.iter().any(|e| e.name() == record.tenant) {
-                let dead = Arc::new(Mutex::new(DeadLetterQueue::new(
-                    inner.skynet.cfg.streaming.guard.dead_letter_capacity,
-                )));
+            if !engines.iter().any(|e| e.name == record.tenant) {
                 let index = engines.len();
                 engines.push(TenantEngine::new(
                     &inner.skynet,
                     &record.tenant,
                     index,
-                    dead,
                     &inner.plane,
                 ));
             }
@@ -623,20 +585,17 @@ impl ServiceHandle {
         for record in records {
             let index = engines
                 .iter()
-                .position(|e| e.name() == record.tenant)
+                .position(|e| e.name == record.tenant)
                 .expect("every WAL tenant has an engine");
-            if record.seq <= engines[index].last_applied_seq() {
+            if record.seq <= engines[index].last_applied_seq {
                 continue;
             }
             if matches!(record.event, WalEvent::ReportBoundary(_)) {
                 // The incarnation below the boundary already delivered its
                 // report; its replayed state must not leak into the next
                 // one. Restart fresh, exactly like the live Report handler.
-                let dead = Arc::new(Mutex::new(DeadLetterQueue::new(
-                    inner.skynet.cfg.streaming.guard.dead_letter_capacity,
-                )));
                 engines[index] =
-                    TenantEngine::new(&inner.skynet, &record.tenant, index, dead, &inner.plane);
+                    TenantEngine::new(&inner.skynet, &record.tenant, index, &inner.plane);
                 continue;
             }
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -651,10 +610,9 @@ impl ServiceHandle {
             let mut tenants = inner.tenants.lock();
             for engine in engines {
                 let index = tenants.len();
-                let dead = engine.dead_letters();
-                let slot = inner.new_slot(engine.name(), index, dead);
+                let slot = inner.new_slot(&engine.name, index, engine.engine.dead_letters());
                 slot.applied_seq
-                    .store(engine.last_applied_seq(), Ordering::Relaxed);
+                    .store(engine.last_applied_seq, Ordering::Relaxed);
                 tenants.push(Arc::clone(&slot));
                 inner.spawn_worker(slot, engine);
             }
@@ -702,7 +660,7 @@ impl ServiceHandle {
         tenant: &str,
         events: Vec<WalEvent>,
     ) -> Result<BatchAck, ServeError> {
-        self.inner.submit_batch(tenant, events)
+        self.inner.submit_batch(tenant, events.into_iter())
     }
 
     /// [`ServiceHandle::submit_batch`] for raw alerts — the library face
@@ -712,7 +670,8 @@ impl ServiceHandle {
         tenant: &str,
         alerts: Vec<RawAlert>,
     ) -> Result<BatchAck, ServeError> {
-        self.submit_batch(tenant, alerts.into_iter().map(WalEvent::Alert).collect())
+        self.inner
+            .submit_batch(tenant, alerts.into_iter().map(WalEvent::Alert))
     }
 
     /// [`ServiceHandle::submit`] for a raw alert.
@@ -966,19 +925,14 @@ pub fn replay_wal(
 ) -> Result<Vec<(String, AnalysisReport)>, ServeError> {
     let plane = FaultPlane::from_config(&skynet.cfg.faults, &skynet.obs);
     let records = WalReader::scan(dir)?;
-    let fresh_engine = |name: &str, index: usize| {
-        let dead = Arc::new(Mutex::new(DeadLetterQueue::new(
-            skynet.cfg.streaming.guard.dead_letter_capacity,
-        )));
-        TenantEngine::new(skynet, name, index, dead, &plane)
-    };
+    let fresh_engine = |name: &str, index: usize| TenantEngine::new(skynet, name, index, &plane);
     let mut engines: Vec<TenantEngine> = Vec::new();
     let mut reports: Vec<(String, AnalysisReport)> = Vec::new();
     for record in records {
         if record.seq < from_seq || to_seq.is_some_and(|hi| record.seq > hi) {
             continue;
         }
-        let index = match engines.iter().position(|e| e.name() == record.tenant) {
+        let index = match engines.iter().position(|e| e.name == record.tenant) {
             Some(i) => i,
             None => {
                 let index = engines.len();
@@ -988,20 +942,20 @@ pub fn replay_wal(
         };
         if let WalEvent::ReportBoundary(at) = record.event {
             let done = std::mem::replace(&mut engines[index], fresh_engine(&record.tenant, index));
-            reports.push((record.tenant, done.finish(skynet, at, plane.clone())));
+            let report = done.engine.finish(skynet, at, plane.clone());
+            reports.push((record.tenant, report));
             continue;
         }
         engines[index].apply(record.seq, record.event);
     }
     for engine in engines {
-        if engine.last_applied_seq() == 0 {
+        if engine.last_applied_seq == 0 {
             // A post-boundary incarnation that applied nothing — the live
             // service delivered no report for it either.
             continue;
         }
-        let name = engine.name().to_string();
-        let report = engine.finish(skynet, horizon, plane.clone());
-        reports.push((name, report));
+        let report = engine.engine.finish(skynet, horizon, plane.clone());
+        reports.push((engine.name, report));
     }
     Ok(reports)
 }

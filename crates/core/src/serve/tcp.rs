@@ -298,8 +298,7 @@ fn dispatch(
             let Some(name) = tenant.as_deref() else {
                 return (no_hello(), false);
             };
-            let events = alerts.into_iter().map(WalEvent::Alert).collect();
-            match inner.submit_batch(name, events) {
+            match inner.submit_batch(name, alerts.into_iter().map(WalEvent::Alert)) {
                 Ok(ack) => (
                     Response::Acks {
                         first: ack.first_seq,

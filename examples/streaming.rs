@@ -98,9 +98,8 @@ fn main() {
     println!("--- metrics\n{}", handle.table());
 
     handle.events.send(StreamEvent::Flush).unwrap();
-    drop(handle.events);
     let mut incidents: Vec<_> = handle.incidents.iter().collect();
-    handle.worker.join().unwrap();
+    handle.join().unwrap();
     println!(
         "flush drained {} further incident(s); worker exited cleanly",
         incidents.len()

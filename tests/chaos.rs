@@ -171,7 +171,7 @@ fn supervised_stream_survives_chaos_and_matches_batch() {
     handle.events.send(StreamEvent::Flush).unwrap();
 
     let streamed: Vec<StreamIncident> = handle.incidents.iter().collect();
-    handle.worker.join().unwrap();
+    handle.join().unwrap();
 
     // The supervisor restarted the worker exactly once and stayed healthy.
     let health = handle.health();

@@ -492,7 +492,7 @@ fn streaming_panic_dead_letters_then_restarts() {
         .unwrap();
     handle.events.send(StreamEvent::Flush).unwrap();
     let streamed: Vec<StreamIncident> = handle.incidents.iter().collect();
-    handle.worker.join().unwrap();
+    handle.join().unwrap();
 
     let health = handle.health();
     assert_eq!(health.restarts, 1);
@@ -542,7 +542,7 @@ fn supervisor_exhaustion_reports_degraded_with_cause() {
         }
     }
     let _ = handle.events.send(StreamEvent::Flush);
-    handle.worker.join().unwrap();
+    handle.join().unwrap();
 
     let health = handle.health();
     assert!(health.gave_up);

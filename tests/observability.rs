@@ -185,7 +185,7 @@ fn streaming_handle_exposes_the_shared_observability() {
         .unwrap();
     handle.events.send(StreamEvent::Flush).unwrap();
     let streamed: Vec<StreamIncident> = handle.incidents.iter().collect();
-    handle.worker.join().unwrap();
+    handle.join().unwrap();
     assert!(!streamed.is_empty());
 
     let snap = handle.observability().snapshot();
