@@ -21,8 +21,8 @@
 //! The main tree is an index-addressed arena: every location is resolved to
 //! a dense [`LocId`] exactly once, when its alert enters [`Locator::insert`],
 //! and Algorithms 1–3 then run entirely on `Copy` ids — containment is two
-//! array probes, adjacency one canonical-ordered pair lookup, and no
-//! [`LocationPath`] is cloned or re-hashed per alert. Paths reappear only on
+//! array probes, adjacency a walk (or binary search) of a sorted neighbor
+//! list, and no [`LocationPath`] is cloned or re-hashed per alert. Paths reappear only on
 //! finished [`Incident`]s (the serde/API boundary). The previous path-keyed
 //! implementation survives as [`reference::PathLocator`], the differential
 //! test oracle and benchmark baseline.
@@ -38,8 +38,8 @@ pub use thresholds::Thresholds;
 use crate::obs::{Counter, Observability};
 use serde::{Deserialize, Serialize};
 use skynet_model::{
-    AlertClass, AlertType, IncidentId, LocId, LocationInterner, LocationLevel, LocationPath,
-    SimDuration, SimTime, StructuredAlert,
+    AlertClass, AlertKind, AlertType, DataSource, IncidentId, LocId, LocationInterner,
+    LocationLevel, LocationPath, SimDuration, SimTime, StructuredAlert,
 };
 use skynet_topology::Topology;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -63,13 +63,16 @@ pub enum MaintenanceMode {
     /// Delta-per-event: alert expiry runs off an expiry wheel (O(evictions)
     /// per tick instead of O(active)), per-region alert counts are
     /// maintained incrementally on insert/expiry, component grouping uses
-    /// linear ancestor/sibling/adjacency probes, and incident generation is
-    /// skipped entirely on ticks where nothing structural changed. Produces
-    /// byte-identical incidents to [`MaintenanceMode::Rescan`].
+    /// linear ancestor/sibling/adjacency probes, incident generation is
+    /// skipped entirely on ticks where nothing structural changed, and a
+    /// component stops being carved once an open incident covers what is
+    /// left of it. Produces byte-identical incidents to
+    /// [`MaintenanceMode::Rescan`].
     #[default]
     Incremental,
-    /// Rebuild-per-tick: the original full `retain` scans and pairwise
-    /// connectivity checks. Kept as the differential oracle (and the
+    /// Rebuild-per-tick: the original full `retain` scans, pairwise
+    /// connectivity checks and per-candidate quorum scans, every component
+    /// carved to the end. Kept as the differential oracle (and the
     /// benchmark baseline) for the incremental path.
     Rescan,
 }
@@ -288,13 +291,62 @@ impl LocatorState {
     }
 }
 
-/// A canonical-ordered location pair: adjacency stores each linked pair
-/// once, queried from either direction without cloning anything.
-fn pair(a: LocId, b: LocId) -> (LocId, LocId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
+/// "Unset" in the locator's dense `u32` slot vectors.
+const NONE: u32 = u32::MAX;
+
+/// The alert-type catalog is a fixed source × kind grid, so a type's dense
+/// index is its grid cell and a type set is a bitset over the grid.
+const TYPE_UNIVERSE: usize = DataSource::ALL.len() * AlertKind::ALL.len();
+const TYPE_WORDS: usize = TYPE_UNIVERSE.div_ceil(64);
+
+const fn type_index(ty: AlertType) -> usize {
+    ty.source as usize * AlertKind::ALL.len() + ty.kind as usize
+}
+
+/// A set of alert types, for the once-per-type counting of §4.2.
+#[derive(Debug, Clone, Copy, Default)]
+struct TypeSet([u64; TYPE_WORDS]);
+
+impl TypeSet {
+    /// Every Failure-class type of the catalog.
+    const FAILURES: TypeSet = {
+        let mut words = [0; TYPE_WORDS];
+        let mut s = 0;
+        while s < DataSource::ALL.len() {
+            let mut k = 0;
+            while k < AlertKind::ALL.len() {
+                let ty = AlertType::new(DataSource::ALL[s], AlertKind::ALL[k]);
+                if matches!(ty.class(), AlertClass::Failure) {
+                    let i = type_index(ty);
+                    words[i / 64] |= 1 << (i % 64);
+                }
+                k += 1;
+            }
+            s += 1;
+        }
+        TypeSet(words)
+    };
+
+    fn insert(&mut self, ty: AlertType) {
+        let i = type_index(ty);
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    fn union_with(&mut self, other: &TypeSet) {
+        for (w, o) in self.0.iter_mut().zip(&other.0) {
+            *w |= o;
+        }
+    }
+
+    /// `(failure_types, all_types)` — the pair [`Thresholds::is_met`] takes.
+    fn counts(&self) -> (u32, u32) {
+        let mut failure = 0;
+        let mut all = 0;
+        for (w, f) in self.0.iter().zip(&Self::FAILURES.0) {
+            failure += (w & f).count_ones();
+            all += w.count_ones();
+        }
+        (failure, all)
     }
 }
 
@@ -308,14 +360,102 @@ fn find(parent: &mut [usize], i: usize) -> usize {
     i
 }
 
-/// Groups indices by union-find root, in index order within each group.
-fn collect_components(parent: &mut [usize]) -> Vec<Vec<usize>> {
-    let mut components: HashMap<usize, Vec<usize>> = HashMap::new();
-    for i in 0..parent.len() {
-        let r = find(parent, i);
-        components.entry(r).or_default().push(i);
+fn union(parent: &mut [usize], i: usize, j: usize) {
+    let (ri, rj) = (find(parent, i), find(parent, j));
+    if ri != rj {
+        parent[ri] = rj;
     }
-    components.into_values().collect()
+}
+
+/// One connected component of a tick's grouping: a run of
+/// [`Grouping::members`].
+#[derive(Debug, Clone, Copy)]
+struct Component {
+    /// The component's first location in path order — its sort key.
+    min_loc: LocId,
+    start: usize,
+    len: usize,
+}
+
+/// One tick's grouping of alerting nodes into connected components. Lives
+/// on the locator between ticks so a dirty tick reuses its buffers.
+#[derive(Debug, Default)]
+struct Grouping {
+    /// Union-find forest over positions in the tick's location list.
+    parent: Vec<usize>,
+    /// Index into `components` for each grouped position (and, while
+    /// collecting, for each union-find root), `NONE` for skipped ones.
+    component_of: Vec<u32>,
+    components: Vec<Component>,
+    /// Every grouped location, each component's members contiguous.
+    members: Vec<LocId>,
+    /// The current component's not-yet-carved members.
+    remaining: Vec<LocId>,
+}
+
+impl Grouping {
+    /// Starts a tick over `n` locations, each its own component.
+    fn reset(&mut self, n: usize) {
+        self.parent.clear();
+        self.parent.extend(0..n);
+    }
+
+    /// Collects the union-find forest into `components`/`members`, skipping
+    /// locations `keep` rejects, in the deterministic carve order: by each
+    /// component's first location in path order (id order is interning
+    /// order, not path order).
+    fn collect(
+        &mut self,
+        locations: &[LocId],
+        interner: &LocationInterner,
+        keep: impl Fn(LocId) -> bool,
+    ) {
+        let n = locations.len();
+        self.component_of.clear();
+        self.component_of.resize(n, NONE);
+        self.components.clear();
+        for (i, &loc) in locations.iter().enumerate() {
+            if !keep(loc) {
+                continue;
+            }
+            let root = find(&mut self.parent, i);
+            match self.component_of[root] {
+                NONE => {
+                    self.component_of[root] = self.components.len() as u32;
+                    self.components.push(Component {
+                        min_loc: loc,
+                        start: 0,
+                        len: 1,
+                    });
+                }
+                c => {
+                    let component = &mut self.components[c as usize];
+                    component.len += 1;
+                    if interner.cmp(loc, component.min_loc).is_lt() {
+                        component.min_loc = loc;
+                    }
+                }
+            }
+            self.component_of[i] = self.component_of[root];
+        }
+        let mut total = 0;
+        for component in &mut self.components {
+            component.start = total;
+            total += component.len;
+            component.len = 0;
+        }
+        self.members.clear();
+        self.members.resize(total, LocId::from_index(0));
+        for (&loc, &c) in locations.iter().zip(&self.component_of) {
+            if c != NONE {
+                let component = &mut self.components[c as usize];
+                self.members[component.start + component.len] = loc;
+                component.len += 1;
+            }
+        }
+        self.components
+            .sort_by(|a, b| interner.cmp(a.min_loc, b.min_loc));
+    }
 }
 
 /// Delta-maintained per-region alert tallies. Connectivity never crosses a
@@ -323,10 +463,11 @@ fn collect_components(parent: &mut [usize]) -> Vec<Vec<usize>> {
 /// and [`Thresholds::is_met`] is monotone in the joint (failure, other)
 /// counts — which makes these counts a sound gate: a region that cannot
 /// meet the thresholds cannot contain a threshold-crossing component.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct RegionCounts {
-    /// How many active (location, type) pairs carry each alert type.
-    type_refs: HashMap<AlertType, u32>,
+    /// How many active (location, type) pairs carry each alert type, by
+    /// [`type_index`].
+    type_refs: Box<[u32]>,
     /// Distinct active types in the region.
     distinct_all: u32,
     /// Distinct active Failure-class types in the region.
@@ -338,11 +479,21 @@ struct RegionCounts {
 }
 
 impl RegionCounts {
+    fn new() -> Self {
+        RegionCounts {
+            type_refs: vec![0; TYPE_UNIVERSE].into_boxed_slice(),
+            distinct_all: 0,
+            distinct_failure: 0,
+            pair_all: 0,
+            pair_failure: 0,
+        }
+    }
+
     fn add(&mut self, ty: AlertType) {
         let failure = ty.class() == AlertClass::Failure;
         self.pair_all += 1;
         self.pair_failure += u32::from(failure);
-        let refs = self.type_refs.entry(ty).or_insert(0);
+        let refs = &mut self.type_refs[type_index(ty)];
         *refs += 1;
         if *refs == 1 {
             self.distinct_all += 1;
@@ -354,20 +505,12 @@ impl RegionCounts {
         let failure = ty.class() == AlertClass::Failure;
         self.pair_all -= 1;
         self.pair_failure -= u32::from(failure);
-        let refs = self
-            .type_refs
-            .get_mut(&ty)
-            .expect("removing a counted type");
-        *refs -= 1;
+        let refs = &mut self.type_refs[type_index(ty)];
+        *refs = refs.checked_sub(1).expect("removing a counted type");
         if *refs == 0 {
-            self.type_refs.remove(&ty);
             self.distinct_all -= 1;
             self.distinct_failure -= u32::from(failure);
         }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.pair_all == 0
     }
 
     /// Upper-bound threshold check for any component inside the region.
@@ -379,6 +522,28 @@ impl RegionCounts {
             CountingMode::TypeAndLocation => thresholds.is_met(self.pair_failure, self.pair_all),
         }
     }
+}
+
+/// The incremental path's per-location dense state (one per interned id);
+/// every field is [`NONE`] when unset.
+#[derive(Debug, Clone, Copy)]
+struct LocSlots {
+    /// Position of this id in `active` — O(1) membership probes and
+    /// swap-removal for the expiry wheel.
+    active: u32,
+    /// For a region id: its index in `region_counts`.
+    region: u32,
+    /// Grouping scratch, for a parent id: the position of its first deep
+    /// child seen this tick. Reset before the tick ends.
+    sibling: u32,
+}
+
+impl LocSlots {
+    const UNSET: LocSlots = LocSlots {
+        active: NONE,
+        region: NONE,
+        sibling: NONE,
+    };
 }
 
 /// The locator: feed it time-ordered structured alerts, collect finished
@@ -400,22 +565,24 @@ pub struct Locator {
     completed: Vec<Incident>,
     next_check: SimTime,
     next_id: u32,
-    /// Location-prefix pairs directly connected by a topology link, stored
-    /// once in canonical id order.
-    adjacency: HashSet<(LocId, LocId)>,
-    /// Adjacency as per-location neighbor lists, for the incremental
-    /// grouping pass (linear probes instead of pairwise checks).
-    adjacency_neighbors: HashMap<LocId, Vec<LocId>>,
-    /// Position of each active id in `active` — O(1) membership probes and
-    /// swap-removal for the expiry wheel.
-    active_index: HashMap<LocId, usize>,
+    /// Location pairs directly connected by a topology link, as sorted
+    /// per-location neighbor lists in CSR form: the neighbors of id `i` are
+    /// `adjacency[adjacency_start[i]..adjacency_start[i + 1]]`. Covers the
+    /// topology base only — a location interned later has no links.
+    adjacency_start: Vec<u32>,
+    adjacency: Vec<LocId>,
+    /// Dense per-location state of the incremental path, indexed by `LocId`.
+    slots: Vec<LocSlots>,
     /// Expiry wheel: (location, type) entries bucketed by the tick-time at
     /// which they expire (`last_seen + node_timeout`). A refreshed alert is
     /// re-bucketed on insert; earlier buckets then hold stale entries that
     /// the drain skips by re-checking the live timestamp.
     wheel: BTreeMap<SimTime, Vec<(LocId, AlertType)>>,
-    /// Delta-maintained per-region tallies gating incident generation.
-    region_counts: HashMap<LocId, RegionCounts>,
+    /// Delta-maintained per-region tallies gating incident generation, one
+    /// per region seen so far (`LocSlots::region` maps a region id here).
+    region_counts: Vec<RegionCounts>,
+    /// Algorithm 2's grouping buffers, reused across ticks.
+    grouping: Grouping,
     /// Set when the active alert set changed structurally (new type,
     /// activation, eviction) or an incident finalized — the only events
     /// that can change what Algorithm 2 produces. Unchanged ticks skip
@@ -440,8 +607,7 @@ impl Locator {
     /// grouping).
     pub fn new(topo: &Arc<Topology>, cfg: LocatorConfig) -> Self {
         let interner = (**topo.interner()).clone();
-        let mut adjacency = HashSet::new();
-        let mut adjacency_neighbors: HashMap<LocId, Vec<LocId>> = HashMap::new();
+        let mut linked: HashSet<(LocId, LocId)> = HashSet::new();
         if cfg.use_topology_connectivity {
             for link in topo.links() {
                 let (Some(da), Some(db)) = (link.a.device(), link.b.device()) else {
@@ -458,34 +624,72 @@ impl Locator {
                 }
                 for pa in interner.ancestors(la) {
                     for pb in interner.ancestors(lb) {
-                        if pa != pb && adjacency.insert(pair(pa, pb)) {
-                            adjacency_neighbors.entry(pa).or_default().push(pb);
-                            adjacency_neighbors.entry(pb).or_default().push(pa);
+                        if pa != pb {
+                            linked.insert((pa.min(pb), pa.max(pb)));
                         }
                     }
                 }
             }
         }
-        let main = vec![Node::default(); interner.len()];
         let base_locs = interner.len();
+        let mut directed: Vec<(LocId, LocId)> = linked
+            .into_iter()
+            .flat_map(|(a, b)| [(a, b), (b, a)])
+            .collect();
+        directed.sort_unstable();
+        let mut adjacency_start = vec![0u32; base_locs + 1];
+        for &(from, _) in &directed {
+            adjacency_start[from.index() + 1] += 1;
+        }
+        for i in 0..base_locs {
+            adjacency_start[i + 1] += adjacency_start[i];
+        }
+        let adjacency = directed.into_iter().map(|(_, to)| to).collect();
         Locator {
             cfg,
+            main: vec![Node::default(); base_locs],
+            slots: vec![LocSlots::UNSET; base_locs],
             interner,
             base_locs,
-            main,
             active: Vec::new(),
             open: Vec::new(),
             completed: Vec::new(),
             next_check: SimTime::ZERO,
             next_id: 0,
+            adjacency_start,
             adjacency,
-            adjacency_neighbors,
-            active_index: HashMap::new(),
             wheel: BTreeMap::new(),
-            region_counts: HashMap::new(),
+            region_counts: Vec::new(),
+            grouping: Grouping::default(),
             dirty: false,
             evictions: None,
         }
+    }
+
+    /// Topology neighbors of a location, sorted by id.
+    fn neighbors(&self, loc: LocId) -> &[LocId] {
+        match self.adjacency_start.get(loc.index()..=loc.index() + 1) {
+            Some(&[start, end]) => &self.adjacency[start as usize..end as usize],
+            _ => &[],
+        }
+    }
+
+    /// Grows the per-location arenas to cover every interned id.
+    fn cover_interned(&mut self) {
+        if self.main.len() < self.interner.len() {
+            self.main.resize_with(self.interner.len(), Node::default);
+            self.slots.resize(self.interner.len(), LocSlots::UNSET);
+        }
+    }
+
+    /// The tallies of `loc`'s region, created on first use.
+    fn region_counts_mut(&mut self, loc: LocId) -> &mut RegionCounts {
+        let slot = &mut self.slots[self.interner.region_of(loc).index()].region;
+        if *slot == NONE {
+            *slot = self.region_counts.len() as u32;
+            self.region_counts.push(RegionCounts::new());
+        }
+        &mut self.region_counts[*slot as usize]
     }
 
     /// Wires the locator's counters (expiry-wheel evictions) into an
@@ -517,9 +721,7 @@ impl Locator {
                 break;
             }
         }
-        if self.main.len() < self.interner.len() {
-            self.main.resize_with(self.interner.len(), Node::default);
-        }
+        self.cover_interned();
         let node = &mut self.main[loc.index()];
         let was_empty = node.alerts.is_empty();
         let new_type = !node.alerts.contains_key(&alert.ty);
@@ -532,11 +734,10 @@ impl Locator {
         }
         if self.cfg.maintenance == MaintenanceMode::Incremental {
             if was_empty {
-                self.active_index.insert(loc, self.active.len() - 1);
+                self.slots[loc.index()].active = (self.active.len() - 1) as u32;
             }
             if new_type {
-                let region = self.interner.region_of(loc);
-                self.region_counts.entry(region).or_default().add(alert.ty);
+                self.region_counts_mut(loc).add(alert.ty);
                 // A refreshed (absorbed) alert cannot change what
                 // Algorithm 2 produces; a new (location, type) pair can.
                 self.dirty = true;
@@ -569,20 +770,15 @@ impl Locator {
         }
 
         let idle = self.cfg.incident_timeout;
-        let interner = &self.interner;
-        let completed = &mut self.completed;
-        let mut finalized = false;
-        let mut still_open = Vec::new();
-        for incident in self.open.drain(..) {
-            if now.since(incident.update_time) > idle {
-                completed.push(incident.into_incident(interner));
-                finalized = true;
-            } else {
-                still_open.push(incident);
+        let is_idle = |i: &OpenIncident| now.since(i.update_time) > idle;
+        if self.open.iter().any(is_idle) {
+            for incident in std::mem::take(&mut self.open) {
+                if is_idle(&incident) {
+                    self.completed.push(incident.into_incident(&self.interner));
+                } else {
+                    self.open.push(incident);
+                }
             }
-        }
-        self.open = still_open;
-        if finalized {
             // A finalized incident no longer covers its root, so a later
             // carve at (or under) that root becomes possible again.
             self.dirty = true;
@@ -621,25 +817,18 @@ impl Locator {
                     continue; // refreshed; a later bucket holds it
                 }
                 node.alerts.remove(&ty);
-                let region = self.interner.region_of(loc);
-                if let Some(counts) = self.region_counts.get_mut(&region) {
-                    counts.remove(ty);
-                    if counts.is_empty() {
-                        self.region_counts.remove(&region);
-                    }
-                }
+                let now_empty = node.alerts.is_empty();
+                self.region_counts_mut(loc).remove(ty);
                 if let Some(counter) = &self.evictions {
                     counter.inc();
                 }
                 self.dirty = true;
-                if self.main[loc.index()].alerts.is_empty() {
-                    let idx = self
-                        .active_index
-                        .remove(&loc)
-                        .expect("active node is indexed");
-                    self.active.swap_remove(idx);
-                    if let Some(&moved) = self.active.get(idx) {
-                        self.active_index.insert(moved, idx);
+                if now_empty {
+                    let idx = std::mem::replace(&mut self.slots[loc.index()].active, NONE);
+                    assert_ne!(idx, NONE, "active node is indexed");
+                    self.active.swap_remove(idx as usize);
+                    if let Some(&moved) = self.active.get(idx as usize) {
+                        self.slots[moved.index()].active = idx;
                     }
                 }
             }
@@ -658,7 +847,7 @@ impl Locator {
             || self.interner.contains(b, a)
             || (self.interner.depth(a) >= LocationLevel::Site.depth()
                 && self.interner.parent(a) == self.interner.parent(b))
-            || self.adjacency.contains(&pair(a, b))
+            || self.neighbors(a).binary_search(&b).is_ok()
     }
 
     /// Counts `(failure_types, all_types)` for a set of nodes under the
@@ -666,15 +855,13 @@ impl Locator {
     fn count_component(&self, locations: &[LocId]) -> (u32, u32) {
         match self.cfg.counting {
             CountingMode::TypeDistinct => {
-                let mut types: HashSet<AlertType> = HashSet::new();
+                let mut types = TypeSet::default();
                 for &loc in locations {
-                    types.extend(self.main[loc.index()].alerts.keys().copied());
+                    for &ty in self.main[loc.index()].alerts.keys() {
+                        types.insert(ty);
+                    }
                 }
-                let failure = types
-                    .iter()
-                    .filter(|t| t.class() == AlertClass::Failure)
-                    .count() as u32;
-                (failure, types.len() as u32)
+                types.counts()
             }
             CountingMode::TypeAndLocation => {
                 let mut failure = 0u32;
@@ -696,147 +883,125 @@ impl Locator {
     /// Algorithm 2: group alerting nodes into connected components and turn
     /// threshold-crossing components into incident trees.
     fn generate_trees(&mut self, _now: SimTime) {
-        match self.cfg.maintenance {
-            MaintenanceMode::Incremental => {
-                // Nothing structural changed since the last tick: the
-                // grouping, counts and quorum roots are all unchanged, and
-                // every carveable incident was already carved — a rerun
-                // would be a pure no-op.
-                if !self.dirty {
-                    return;
-                }
-                self.dirty = false;
-                self.generate_trees_incremental();
-            }
-            MaintenanceMode::Rescan => self.generate_trees_rescan(),
+        // Incremental mode, nothing structural changed since the last tick:
+        // the grouping, counts and quorum roots are all unchanged, and
+        // every carveable incident was already carved — a rerun would be a
+        // pure no-op.
+        if self.cfg.maintenance == MaintenanceMode::Incremental && !std::mem::take(&mut self.dirty)
+        {
+            return;
         }
+        let mut grouping = std::mem::take(&mut self.grouping);
+        match self.cfg.maintenance {
+            MaintenanceMode::Incremental => self.group_incremental(&mut grouping),
+            MaintenanceMode::Rescan => self.group_rescan(&mut grouping),
+        }
+        self.carve_components(&mut grouping);
+        self.grouping = grouping;
     }
 
     /// Rescan-mode grouping: the original O(n²) pairwise union-find.
-    fn generate_trees_rescan(&mut self) {
-        let locations: Vec<LocId> = self.active.clone();
-        if locations.is_empty() {
-            return;
-        }
-
-        // Union-find over alerting nodes.
+    fn group_rescan(&self, grouping: &mut Grouping) {
+        let locations = &self.active;
         let n = locations.len();
-        let mut parent: Vec<usize> = (0..n).collect();
+        grouping.reset(n);
         for i in 0..n {
             for j in (i + 1)..n {
                 if self.connected(locations[i], locations[j]) {
-                    let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                    if ri != rj {
-                        parent[ri] = rj;
-                    }
+                    union(&mut grouping.parent, i, j);
                 }
             }
         }
-        let component_list = collect_components(&mut parent);
-        self.carve_components(&locations, component_list);
+        grouping.collect(locations, &self.interner, |_| true);
+    }
+
+    /// True when the delta-maintained counts of `loc`'s region could meet
+    /// the thresholds.
+    fn region_could_meet(&self, loc: LocId) -> bool {
+        let slot = self.slots[self.interner.region_of(loc).index()].region;
+        slot != NONE
+            && self.region_counts[slot as usize].could_meet(&self.cfg.thresholds, self.cfg.counting)
     }
 
     /// Incremental-mode grouping: regions whose delta-maintained counts
     /// cannot meet the thresholds are skipped outright (components never
     /// cross regions), and the surviving nodes are grouped with linear
-    /// probes — active strict ancestors for containment edges, a
-    /// group-by-parent pass for deep-sibling edges, and per-location
-    /// neighbor lists for topology adjacency. The edge set is exactly
-    /// [`Locator::connected`]'s, so the partition is identical.
-    fn generate_trees_incremental(&mut self) {
-        let mut locations: Vec<LocId> = Vec::with_capacity(self.active.len());
+    /// probes of the dense slots — active strict ancestors for containment
+    /// edges, a first-child-per-parent slot for deep-sibling edges, and
+    /// per-location neighbor lists for topology adjacency. The edge set is
+    /// exactly [`Locator::connected`]'s, so the partition is identical.
+    fn group_incremental(&mut self, grouping: &mut Grouping) {
+        let n = self.active.len();
+        grouping.reset(n);
+        for i in 0..n {
+            let loc = self.active[i];
+            if !self.region_could_meet(loc) {
+                continue;
+            }
+            // Containment: a distinct active pair has a containment edge
+            // iff one is a strict ancestor of the other.
+            for anc in self.interner.strict_ancestors(loc) {
+                let j = self.slots[anc.index()].active;
+                if j != NONE {
+                    union(&mut grouping.parent, i, j as usize);
+                }
+            }
+            // Deep siblings (devices of a cluster, clusters of a site,
+            // sites of a logic site): equal parents imply equal depth, so
+            // joining each deep node to its parent's first-seen child
+            // yields exactly the pairwise sibling edges.
+            if self.interner.depth(loc) >= LocationLevel::Site.depth() {
+                if let Some(p) = self.interner.parent(loc) {
+                    match self.slots[p.index()].sibling {
+                        NONE => self.slots[p.index()].sibling = i as u32,
+                        first => union(&mut grouping.parent, i, first as usize),
+                    }
+                }
+            }
+            // Topology adjacency, via the precomputed neighbor lists. They
+            // are symmetric, so each edge is taken from its later endpoint
+            // only (`NONE` is above every position).
+            for nb in self.neighbors(loc) {
+                let j = self.slots[nb.index()].active as usize;
+                if j < i {
+                    union(&mut grouping.parent, i, j);
+                }
+            }
+        }
         for &loc in &self.active {
-            let region = self.interner.region_of(loc);
-            if self
-                .region_counts
-                .get(&region)
-                .is_some_and(|c| c.could_meet(&self.cfg.thresholds, self.cfg.counting))
-            {
-                locations.push(loc);
+            if let Some(p) = self.interner.parent(loc) {
+                self.slots[p.index()].sibling = NONE;
             }
         }
-        if locations.is_empty() {
-            return;
-        }
-
-        let n = locations.len();
-        let index: HashMap<LocId, usize> =
-            locations.iter().enumerate().map(|(i, &l)| (l, i)).collect();
-        let mut parent: Vec<usize> = (0..n).collect();
-        let union = |parent: &mut Vec<usize>, i: usize, j: usize| {
-            let (ri, rj) = (find(parent, i), find(parent, j));
-            if ri != rj {
-                parent[ri] = rj;
-            }
-        };
-        // Containment: a distinct active pair has a containment edge iff
-        // one is a strict ancestor of the other.
-        for i in 0..n {
-            for anc in self.interner.strict_ancestors(locations[i]) {
-                if let Some(&j) = index.get(&anc) {
-                    union(&mut parent, i, j);
-                }
-            }
-        }
-        // Deep siblings (devices of a cluster, clusters of a site, sites of
-        // a logic site): equal parents imply equal depth, so grouping the
-        // deep nodes by parent yields exactly the pairwise sibling edges.
-        let mut by_parent: HashMap<LocId, usize> = HashMap::new();
-        for i in 0..n {
-            if self.interner.depth(locations[i]) >= LocationLevel::Site.depth() {
-                if let Some(p) = self.interner.parent(locations[i]) {
-                    match by_parent.entry(p) {
-                        std::collections::hash_map::Entry::Occupied(rep) => {
-                            let rep = *rep.get();
-                            union(&mut parent, i, rep);
-                        }
-                        std::collections::hash_map::Entry::Vacant(slot) => {
-                            slot.insert(i);
-                        }
-                    }
-                }
-            }
-        }
-        // Topology adjacency, via the precomputed neighbor lists.
-        for i in 0..n {
-            if let Some(neighbors) = self.adjacency_neighbors.get(&locations[i]) {
-                for nb in neighbors {
-                    if let Some(&j) = index.get(nb) {
-                        union(&mut parent, i, j);
-                    }
-                }
-            }
-        }
-        let component_list = collect_components(&mut parent);
-        self.carve_components(&locations, component_list);
+        grouping.collect(&self.active, &self.interner, |loc| {
+            self.region_could_meet(loc)
+        });
     }
 
-    /// Shared carve loop: sorts components deterministically and cuts
-    /// threshold-crossing incident trees out of each.
-    fn carve_components(&mut self, locations: &[LocId], mut component_list: Vec<Vec<usize>>) {
-        // Deterministic order: by each component's first location in path
-        // order (id order is interning order, not path order).
-        let interner = &self.interner;
-        let min_loc = |c: &Vec<usize>| -> LocId {
-            c.iter()
-                .map(|&i| locations[i])
-                .min_by(|&x, &y| interner.cmp(x, y))
-                .expect("components are non-empty")
-        };
-        component_list.sort_by(|a, b| interner.cmp(min_loc(a), min_loc(b)));
-
-        for component in component_list {
-            let mut remaining: Vec<LocId> = component.iter().map(|&i| locations[i]).collect();
+    /// Shared carve loop: cuts threshold-crossing incident trees out of
+    /// each component, in the grouping's deterministic order.
+    fn carve_components(&mut self, grouping: &mut Grouping) {
+        let Grouping {
+            components,
+            members,
+            remaining,
+            ..
+        } = grouping;
+        for component in components.iter() {
+            remaining.clear();
+            remaining.extend_from_slice(&members[component.start..component.start + component.len]);
             // A component may host several incidents once quorum rooting
             // excludes outliers (e.g. two attacked sites bridged by a
             // shared parent): keep carving incidents out of the remainder
             // until the leftovers stop meeting the thresholds.
             loop {
-                let (failure, all) = self.count_component(&remaining);
+                let (failure, all) = self.count_component(remaining);
                 if remaining.is_empty() || !self.cfg.thresholds.is_met(failure, all) {
                     break;
                 }
-                let root = self.quorum_root(&remaining);
+                let Some(root) = self.quorum_root(remaining) else {
+                    break;
+                };
                 // Only nodes under the root join this incident; quorum
                 // outliers stay for the next carve (or expire) — Fig. 5c's
                 // device-n separation.
@@ -914,11 +1079,13 @@ impl Locator {
     /// The deepest prefix covering at least `root_quorum` of the
     /// component's distinct alert types while still meeting the incident
     /// thresholds; the component's deepest common ancestor always
-    /// qualifies, so this is total.
-    fn quorum_root(&self, locs: &[LocId]) -> LocId {
+    /// qualifies, so a root always exists. `None` is the incremental
+    /// path's verdict that carving `locs` cannot change anything (see
+    /// [`Locator::quorum_root_rollup`]); the rescan oracle never gives it.
+    fn quorum_root(&self, locs: &[LocId]) -> Option<LocId> {
         match self.cfg.maintenance {
             MaintenanceMode::Incremental => self.quorum_root_rollup(locs),
-            MaintenanceMode::Rescan => self.quorum_root_rescan(locs),
+            MaintenanceMode::Rescan => Some(self.quorum_root_rescan(locs)),
         }
     }
 
@@ -927,7 +1094,15 @@ impl Locator {
     /// candidate is then judged by a map lookup instead of a member
     /// re-scan. Candidate set, ordering and verdicts match
     /// [`Locator::quorum_root_rescan`] exactly.
-    fn quorum_root_rollup(&self, locs: &[LocId]) -> LocId {
+    ///
+    /// Covered-remainder skip: every root this can return lies inside the
+    /// members' deepest common ancestor (candidates are filtered by it, the
+    /// fallback is it), and each later carve of the same component works on
+    /// a subset, whose common ancestor lies inside this one. So once an open
+    /// incident's root contains it, every remaining carve would end in the
+    /// carve loop's covered-root `continue` and mutate nothing: `None`
+    /// stops the component before any rollup is built.
+    fn quorum_root_rollup(&self, locs: &[LocId]) -> Option<LocId> {
         let (&first, rest) = locs.split_first().expect("quorum_root needs members");
         let mut dca = first;
         for &l in rest {
@@ -938,22 +1113,30 @@ impl Locator {
                 .common_ancestor(dca, l)
                 .expect("components never span regions");
         }
+        if self
+            .open
+            .iter()
+            .any(|i| self.interner.contains(i.root, dca))
+        {
+            return None;
+        }
 
         #[derive(Default)]
         struct Rollup {
-            types: HashSet<AlertType>,
+            types: TypeSet,
             pair_all: u32,
             pair_failure: u32,
         }
         let mut rollups: HashMap<LocId, Rollup> = HashMap::new();
-        let mut total: HashSet<AlertType> = HashSet::new();
+        let mut total = TypeSet::default();
         for &l in locs {
             let alerts = &self.main[l.index()].alerts;
-            total.extend(alerts.keys().copied());
-            let failures = alerts
-                .keys()
-                .filter(|t| t.class() == AlertClass::Failure)
-                .count() as u32;
+            let mut types = TypeSet::default();
+            for &ty in alerts.keys() {
+                types.insert(ty);
+            }
+            total.union_with(&types);
+            let (failures, _) = types.counts();
             // A member contributes to every candidate that contains it —
             // exactly its ancestors (itself included) inside the dca.
             for &anc in self.interner.ancestor_slice(l) {
@@ -961,12 +1144,12 @@ impl Locator {
                     continue;
                 }
                 let roll = rollups.entry(anc).or_default();
-                roll.types.extend(alerts.keys().copied());
+                roll.types.union_with(&types);
                 roll.pair_all += alerts.len() as u32;
                 roll.pair_failure += failures;
             }
         }
-        let needed = ((total.len() as f64) * self.cfg.root_quorum).ceil() as usize;
+        let needed = (f64::from(total.counts().1) * self.cfg.root_quorum).ceil() as u32;
 
         let mut candidates: Vec<LocId> = rollups.keys().copied().collect();
         candidates.sort_by(|&a, &b| {
@@ -978,25 +1161,19 @@ impl Locator {
 
         for candidate in candidates {
             let roll = &rollups[&candidate];
-            if roll.types.len() < needed {
+            let distinct = roll.types.counts();
+            if distinct.1 < needed {
                 continue;
             }
             let (failure, all) = match self.cfg.counting {
-                CountingMode::TypeDistinct => {
-                    let failure = roll
-                        .types
-                        .iter()
-                        .filter(|t| t.class() == AlertClass::Failure)
-                        .count() as u32;
-                    (failure, roll.types.len() as u32)
-                }
+                CountingMode::TypeDistinct => distinct,
                 CountingMode::TypeAndLocation => (roll.pair_failure, roll.pair_all),
             };
             if self.cfg.thresholds.is_met(failure, all) {
-                return candidate;
+                return Some(candidate);
             }
         }
-        dca
+        Some(dca)
     }
 
     /// Rescan quorum rooting: per-candidate member scans (the oracle).
@@ -1067,14 +1244,22 @@ impl Locator {
         for incident in self.open.drain(..) {
             completed.push(incident.into_incident(interner));
         }
+        self.clear_main_tree();
+        self.dirty = false;
+    }
+
+    /// Empties the main tree together with its derived state.
+    fn clear_main_tree(&mut self) {
         for &id in &self.active {
             self.main[id.index()].alerts.clear();
+            self.slots[id.index()].active = NONE;
         }
         self.active.clear();
-        self.active_index.clear();
         self.wheel.clear();
+        for slot in &mut self.slots {
+            slot.region = NONE;
+        }
         self.region_counts.clear();
-        self.dirty = false;
     }
 
     /// Takes the finished incidents accumulated so far.
@@ -1143,20 +1328,16 @@ impl Locator {
         for path in &state.extra_paths {
             self.interner.intern(path);
         }
-        if self.main.len() < self.interner.len() {
-            self.main.resize_with(self.interner.len(), Node::default);
-        }
+        self.cover_interned();
         let as_node = |ns: &NodeState| Node {
             alerts: ns.alerts.iter().map(|a| (a.ty, a.clone())).collect(),
         };
+        self.clear_main_tree();
         self.active = state
             .active
             .iter()
             .map(|&i| LocId::from_index(i as usize))
             .collect();
-        for node in self.main.iter_mut() {
-            node.alerts.clear();
-        }
         for ns in &state.main {
             self.main[ns.loc as usize] = as_node(ns);
         }
@@ -1178,19 +1359,18 @@ impl Locator {
         self.next_check = state.next_check;
         self.next_id = state.next_id;
         self.dirty = state.dirty;
-        self.active_index.clear();
-        self.wheel.clear();
-        self.region_counts.clear();
         if self.cfg.maintenance == MaintenanceMode::Incremental {
             for (idx, &loc) in self.active.iter().enumerate() {
-                self.active_index.insert(loc, idx);
-                let region = self.interner.region_of(loc);
-                for (&ty, alert) in &self.main[loc.index()].alerts {
-                    self.region_counts.entry(region).or_default().add(ty);
+                self.slots[loc.index()].active = idx as u32;
+            }
+            for ns in &state.main {
+                let loc = LocId::from_index(ns.loc as usize);
+                for alert in &ns.alerts {
+                    self.region_counts_mut(loc).add(alert.ty);
                     self.wheel
                         .entry(alert.last_seen + self.cfg.node_timeout)
                         .or_default()
-                        .push((loc, ty));
+                        .push((loc, alert.ty));
                 }
             }
         }
@@ -1532,6 +1712,24 @@ mod tests {
         assert!(incidents[0].has_class(AlertClass::RootCause));
     }
 
+    #[test]
+    fn type_sets_index_the_whole_catalog_without_collisions() {
+        let mut all = TypeSet::default();
+        let mut failures = 0;
+        for source in DataSource::ALL {
+            for kind in AlertKind::ALL {
+                let ty = AlertType::new(source, kind);
+                let mut one = TypeSet::default();
+                one.insert(ty);
+                let failure = u32::from(ty.class() == AlertClass::Failure);
+                assert_eq!(one.counts(), (failure, 1), "{ty}");
+                failures += failure;
+                all.insert(ty);
+            }
+        }
+        assert_eq!(all.counts(), (failures, TYPE_UNIVERSE as u32));
+    }
+
     fn both_modes() -> [LocatorConfig; 2] {
         [
             LocatorConfig::default(),
@@ -1592,38 +1790,130 @@ mod tests {
         }
     }
 
+    type DerivedState = (Vec<(LocId, u32)>, Vec<(usize, [u32; 4])>);
+
+    /// The incremental path's derived state in comparable form: each active
+    /// id with its indexed position, and the non-empty region tallies by
+    /// region id (slot numbering depends on arrival order, so it is not
+    /// compared).
+    fn derived_state(loc: &Locator) -> DerivedState {
+        let active = loc
+            .active
+            .iter()
+            .map(|&l| (l, loc.slots[l.index()].active))
+            .collect();
+        let regions = loc
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.region != NONE)
+            .map(|(i, s)| {
+                let c = &loc.region_counts[s.region as usize];
+                let tallies = [
+                    c.distinct_all,
+                    c.distinct_failure,
+                    c.pair_all,
+                    c.pair_failure,
+                ];
+                (i, tallies)
+            })
+            .filter(|(_, tallies)| tallies[2] > 0)
+            .collect();
+        (active, regions)
+    }
+
     #[test]
     fn locator_state_round_trips_mid_flood() {
         let t = topo();
         for cfg in both_modes() {
             let mode = cfg.maintenance;
-            let mut live = Locator::new(&t, cfg.clone());
+            let evicted = |loc: &Locator| loc.evictions.as_ref().unwrap().get();
+            let mut live =
+                Locator::new(&t, cfg.clone()).with_observability(&Observability::default());
             let c1 = t.clusters()[0].clone();
             let c2 = t.clusters()[1].clone();
+            let leaves: Vec<LocationPath> = t
+                .agg_group(&c1)
+                .iter()
+                .map(|&d| t.device(d).location.clone())
+                .collect();
             // Off-topology probe device: grows the interner mid-stream, so
             // the snapshot must carry the extra path.
             let probe = c1.child("probe-x");
             live.insert(&alert(DataSource::Ping, AlertKind::PacketLossIcmp, 10, &c1));
             live.insert(&alert(DataSource::Ping, AlertKind::PacketLossTcp, 20, &c1));
             live.insert(&alert(DataSource::Snmp, AlertKind::HighCpu, 25, &probe));
-            live.advance(SimTime::from_secs(60));
+            live.advance(SimTime::from_secs(30));
             assert_eq!(live.open_count(), 1, "mode {mode:?}");
+            // The flood goes on under the open incident: the snapshot is
+            // taken while it covers live main-tree alerts.
+            for (i, leaf) in leaves.iter().enumerate() {
+                live.insert(&alert(
+                    DataSource::Snmp,
+                    AlertKind::LinkDown,
+                    40 + i as u64,
+                    leaf,
+                ));
+            }
+            live.advance(SimTime::from_secs(60));
+            assert_eq!(live.open_roots(), vec![c1.clone()], "mode {mode:?}");
+            assert!(live.active.len() >= 3, "mode {mode:?}");
 
             let state = live.snapshot_state();
             let json = serde_json::to_string(&state).unwrap();
-            let mut restored = Locator::new(&t, cfg);
+            let mut restored = Locator::new(&t, cfg).with_observability(&Observability::default());
             restored.restore_state(serde_json::from_str(&json).unwrap());
-            assert_eq!(restored.open_count(), live.open_count(), "mode {mode:?}");
             assert_eq!(restored.open_roots(), live.open_roots(), "mode {mode:?}");
+            assert_eq!(
+                derived_state(&restored),
+                derived_state(&live),
+                "mode {mode:?}"
+            );
+            let evicted_before = evicted(&live);
 
-            // Identical tail: a second incident in a sibling cluster, then
-            // idle time past both timeouts so everything finalizes.
+            // Identical tail, compared tick by tick: more alerts under the
+            // open incident, a sibling cluster joining its component (the
+            // first carve roots at the covered cluster, the remainder
+            // becomes a second incident), the pre-snapshot alerts expiring
+            // off the rebuilt wheel, then idle time past both timeouts so
+            // everything finalizes.
             for loc in [&mut live, &mut restored] {
+                loc.insert(&alert(
+                    DataSource::Syslog,
+                    AlertKind::HardwareError,
+                    65,
+                    &leaves[0],
+                ));
                 loc.insert(&alert(DataSource::Ping, AlertKind::PacketBitFlip, 70, &c2));
                 loc.insert(&alert(DataSource::Snmp, AlertKind::LinkDown, 72, &c2));
-                loc.advance(SimTime::from_mins(40));
-                loc.finish();
+                loc.insert(&alert(DataSource::Ping, AlertKind::PacketLossTcp, 74, &c2));
             }
+            for tick in 7..=240u64 {
+                let now = SimTime::from_secs(tick * 10);
+                live.advance(now);
+                restored.advance(now);
+                assert_eq!(
+                    restored.open_roots(),
+                    live.open_roots(),
+                    "{mode:?} tick {tick}"
+                );
+                assert_eq!(
+                    derived_state(&restored),
+                    derived_state(&live),
+                    "{mode:?} tick {tick}"
+                );
+                assert_eq!(
+                    evicted(&restored),
+                    evicted(&live) - evicted_before,
+                    "{mode:?} tick {tick}"
+                );
+            }
+            assert!(live.active.is_empty(), "mode {mode:?}");
+            if mode == MaintenanceMode::Incremental {
+                assert!(evicted(&restored) >= 6, "mode {mode:?}");
+            }
+            live.finish();
+            restored.finish();
             let live_done = live.take_completed();
             let restored_done = restored.take_completed();
             assert_eq!(
@@ -1631,8 +1921,167 @@ mod tests {
                 serde_json::to_string(&restored_done).unwrap(),
                 "mode {mode:?}"
             );
-            assert!(!live_done.is_empty(), "mode {mode:?}");
+            let roots: Vec<&LocationPath> = live_done.iter().map(|i| &i.root).collect();
+            assert_eq!(roots, [&c1, &c2], "mode {mode:?}");
         }
+    }
+
+    /// A small LCG: seeded, hand-rolled streams for the differential tests
+    /// (plain `#[test]`s, so they also run where proptest is unavailable).
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            self.0 >> 33
+        }
+
+        fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+            &items[self.next() as usize % items.len()]
+        }
+    }
+
+    /// Every location at or under `scope` that holds a device, plus the
+    /// cluster level above the devices.
+    fn pool(t: &Topology, scope: &LocationPath) -> Vec<LocationPath> {
+        let mut pool: Vec<LocationPath> = t
+            .devices_under(scope)
+            .flat_map(|d| [d.location.clone(), d.location.parent()])
+            .filter(|l| scope.contains(l))
+            .collect();
+        pool.sort();
+        pool.dedup();
+        pool
+    }
+
+    #[test]
+    fn incremental_and_rescan_agree_tick_by_tick_around_open_incidents() {
+        let t = Arc::new(generate(&GeneratorConfig::medium()));
+        let site_a = t.clusters()[0].parent();
+        let logic = site_a.parent();
+        let city = logic.parent();
+        let region = city.parent();
+        // The sibling site under the same logic site, and a site of the
+        // same region in another city.
+        let site_a2 = t
+            .clusters()
+            .iter()
+            .map(|c| c.parent())
+            .find(|s| s.parent() == logic && *s != site_a)
+            .unwrap();
+        let site_b = t
+            .clusters()
+            .iter()
+            .map(|c| c.parent())
+            .find(|s| region.contains(s) && !city.contains(s))
+            .unwrap();
+        let (pool_a, pool_a2, pool_b) = (pool(&t, &site_a), pool(&t, &site_a2), pool(&t, &site_b));
+        let kinds_a = [
+            AlertKind::PacketLossIcmp,
+            AlertKind::PacketLossTcp,
+            AlertKind::LinkDown,
+            AlertKind::TrafficCongestion,
+            AlertKind::HardwareError,
+        ];
+        let kinds_lift = [
+            AlertKind::PacketBitFlip,
+            AlertKind::LatencyJitter,
+            AlertKind::DeviceInaccessible,
+            AlertKind::PortDown,
+            AlertKind::BgpPeerDown,
+            AlertKind::HighCpu,
+        ];
+        let sources = [DataSource::Ping, DataSource::Snmp, DataSource::Syslog];
+
+        // One alert list, time-ordered by construction (one pass over the
+        // seconds), fed to both modes.
+        let mut rng = Lcg(0x5eed);
+        let mut script: Vec<StructuredAlert> = Vec::new();
+        for sec in 0..2400u64 {
+            let mut emit = |pool: &[LocationPath], kinds: &[AlertKind], rng: &mut Lcg| {
+                script.push(alert(
+                    *rng.pick(&sources),
+                    *rng.pick(kinds),
+                    sec,
+                    rng.pick(pool),
+                ));
+            };
+            match sec {
+                // (a) a flood under site A: an incident opens within the
+                // first ticks and the flood keeps landing under it; (b)
+                // from 200 s a second component in the same region, in
+                // another city — outside the open root.
+                0..=599 => {
+                    emit(&pool_a, &kinds_a, &mut rng);
+                    if sec >= 200 && sec % 3 == 0 {
+                        emit(&pool_b, &kinds_a, &mut rng);
+                    }
+                }
+                // (d) silence past both timeouts, until the last 300 s
+                // flood the finalized root again.
+                700..=2099 => {}
+                // (c) the failure spreads to the sibling site and the
+                // logic site with types the flood never showed, so the
+                // quorum root lifts above the open root.
+                _ => {
+                    emit(&pool_a, &kinds_a, &mut rng);
+                    emit(&pool_a2, &kinds_lift, &mut rng);
+                    if sec % 10 == 0 {
+                        emit(std::slice::from_ref(&logic), &kinds_lift, &mut rng);
+                    }
+                }
+            }
+        }
+
+        let [mut inc, mut res] = both_modes().map(|cfg| Locator::new(&t, cfg));
+        let mut next = 0;
+        let mut covered_dirty_ticks = 0;
+        let mut saw_sibling_roots = false;
+        let mut saw_lift = false;
+        let mut saw_reflood = false;
+        let mut finished_roots: Vec<LocationPath> = Vec::new();
+        let mut last_roots: Vec<LocationPath> = Vec::new();
+        for tick in 0..=240u64 {
+            let now = SimTime::from_secs(tick * 10);
+            covered_dirty_ticks += usize::from(inc.dirty && !inc.open.is_empty());
+            inc.advance(now);
+            res.advance(now);
+            let roots = inc.open_roots();
+            assert_eq!(roots, res.open_roots(), "open roots at tick {tick}");
+            let done = inc.take_completed();
+            assert_eq!(done, res.take_completed(), "completed at tick {tick}");
+
+            saw_sibling_roots |= roots.iter().any(|r| site_a.contains(r))
+                && roots.iter().any(|r| site_b.contains(r));
+            saw_lift |= roots.iter().any(|r| {
+                !last_roots.contains(r)
+                    && last_roots
+                        .iter()
+                        .any(|old| r.is_strict_ancestor_of(old) && !roots.contains(old))
+            });
+            saw_reflood |= roots.iter().any(|r| finished_roots.contains(r));
+            finished_roots.extend(done.into_iter().map(|i| i.root));
+            last_roots = roots;
+
+            while next < script.len() && script[next].last_seen < now + SimDuration::from_secs(10) {
+                inc.insert(&script[next]);
+                res.insert(&script[next]);
+                next += 1;
+            }
+        }
+        assert!(
+            covered_dirty_ticks >= 50,
+            "{covered_dirty_ticks} dirty ticks under an open incident"
+        );
+        assert!(
+            saw_sibling_roots,
+            "a second component outside the open root"
+        );
+        assert!(saw_lift, "a quorum root lifted above an open root");
+        assert!(saw_reflood, "a finalized root carved again");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! ```
 
 use skynet::core::pipeline::StreamEvent;
-use skynet::core::{Exporter, PipelineConfig, SkyNet};
+use skynet::core::{Exporter, PipelineConfig, RejectReason, SkyNet};
 use skynet::failure::Injector;
 use skynet::model::{SimDuration, SimTime};
 use skynet::telemetry::{TelemetryConfig, TelemetrySuite};
@@ -36,18 +36,24 @@ fn main() {
         .build();
     let handle = sky.stream();
 
-    // Interleave alerts and ping samples exactly as the feed would.
-    for alert in &run.alerts {
-        handle
-            .events
-            .send(StreamEvent::Alert(alert.clone()))
-            .unwrap();
-    }
-    for sample in run.ping.samples() {
-        handle
-            .events
-            .send(StreamEvent::Ping(sample.clone()))
-            .unwrap();
+    // Interleave alerts and ping samples exactly as the feed would: both
+    // logs are time-ordered, and the stable sort keeps each in its own
+    // order. (Sent one log after the other, the guard's watermark would
+    // reject the second as stale.)
+    let mut feed: Vec<(SimTime, StreamEvent)> = run
+        .alerts
+        .iter()
+        .map(|a| (a.timestamp, StreamEvent::Alert(a.clone())))
+        .chain(
+            run.ping
+                .samples()
+                .iter()
+                .map(|s| (s.t, StreamEvent::Ping(s.clone()))),
+        )
+        .collect();
+    feed.sort_by_key(|&(t, _)| t);
+    for (_, event) in feed {
+        handle.events.send(event).unwrap();
     }
     // Quiet period: ticks alone drive the 15-minute incident timeout.
     handle
@@ -90,7 +96,15 @@ fn main() {
         ingest.rejected(),
         ingest.watermark
     );
-    assert!(handle.dead_letters.lock().is_empty());
+    // The ping mesh probes cluster pairs but reports at site level, so a
+    // total outage yields byte-identical alerts for one site pair; the
+    // guard keeps the first and quarantines the repeats. Nothing is
+    // rejected for any other reason.
+    {
+        let dead = handle.dead_letters.lock();
+        assert_eq!(dead.total(), dead.count(RejectReason::Duplicate));
+        assert_eq!(dead.total(), ingest.rejected());
+    }
 
     // The same numbers, as a scrape endpoint would serve them.
     let prom = handle.prometheus();
