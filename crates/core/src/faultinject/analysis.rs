@@ -65,9 +65,9 @@ impl DegradationReport {
                             | Stage::Shed(_)
                     )
                 });
-                // Canonical order, not recording order: parallel locate
-                // lanes interleave their ring writes nondeterministically,
-                // and the timeline must replay byte-identically. Sorting
+                // Canonical order, not recording order: producers shedding
+                // under load write the ring from their own threads, and
+                // the timeline must replay byte-identically. Sorting
                 // by (time, trace, label) restores chronology and puts an
                 // injection before the restart it caused (same time and
                 // trace; "fault:…" < "worker:…").

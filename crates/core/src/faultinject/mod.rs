@@ -286,7 +286,8 @@ pub enum FaultDisposition {
     /// The snapshot write was skipped; the previous snapshot (if any)
     /// remains intact and restore falls back to a longer WAL replay.
     SnapshotSkipped,
-    /// The worker panicked and its supervisor took over.
+    /// The worker panicked; whoever catches it restarts the worker
+    /// (streaming) or resumes it behind the alert in flight (batch, serve).
     Panicked,
     /// The passage was delayed, then proceeded normally.
     Delayed,
@@ -620,17 +621,6 @@ impl FaultArm {
     pub fn panic_now(&self) -> ! {
         std::panic::panic_any(FaultPanic(self.site))
     }
-
-    /// The trace id in flight when this arm last fired — lets supervisors
-    /// attribute a restart to the alert that triggered it.
-    pub fn last_fired_trace(&self) -> TraceId {
-        self.state.lock().last_fired_trace
-    }
-
-    /// The simulation time of the last firing.
-    pub fn last_fired_at(&self) -> SimTime {
-        self.state.lock().last_fired_at
-    }
 }
 
 /// Sleeps an injected-latency interval.
@@ -757,8 +747,9 @@ mod tests {
         for _ in 0..8 {
             assert!(second.check(TraceId::NONE, SimTime::ZERO).is_none());
         }
-        assert_eq!(second.last_fired_trace(), TraceId(10));
-        assert_eq!(second.last_fired_at(), SimTime::from_secs(6));
+        let snap = &p.arm_snapshots()[0];
+        assert_eq!(snap.last_fired_trace, TraceId(10));
+        assert_eq!(snap.last_fired_at, SimTime::from_secs(6));
     }
 
     #[test]

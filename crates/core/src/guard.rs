@@ -691,9 +691,18 @@ impl IngestGuard {
     /// Offers a whole recorded feed, taking ownership so nothing is cloned
     /// on the hot path, and appends everything released. Rejects are
     /// quarantined and counted exactly as by per-alert [`offer`] calls.
+    /// Each alert leaves the iterator before it is offered, so a caller
+    /// that catches a fault-site panic can resume with the same iterator.
     ///
     /// [`offer`]: IngestGuard::offer
-    pub fn offer_batch(&mut self, alerts: Vec<RawAlert>, out: &mut Vec<RawAlert>) {
+    pub fn offer_batch(
+        &mut self,
+        alerts: impl IntoIterator<Item = RawAlert>,
+        out: &mut Vec<RawAlert>,
+    ) {
+        let alerts = alerts.into_iter();
+        // All but the rejects end up in `out` once the guard is flushed.
+        out.reserve(alerts.size_hint().0);
         for alert in alerts {
             let _ = self.offer(alert, out);
         }

@@ -29,14 +29,14 @@
 //! - [`error`] — the [`SkyNetError`] taxonomy surfaced by the streaming
 //!   runtime instead of panics.
 //! - [`shard`] — region-affine shard routing: every location maps to its
-//!   region's shard in O(1), which is what lets the locate/evaluate stages
-//!   run in parallel without ever splitting an incident.
-//! - [`par`] — the minimal order-preserving parallel map the sharded
-//!   stages run on, backed by a persistent [`par::WorkerPool`] (std
+//!   region's shard in O(1), which is what lets the locate stage be laid
+//!   out over N locators without ever splitting an incident.
+//! - [`par`] — the minimal order-preserving parallel map the evaluator
+//!   ranks incidents on, backed by a persistent [`par::WorkerPool`] (std
 //!   threads; no runtime dependency, no per-batch thread spawning).
-//! - `engine` (crate-private) — the event-at-a-time state machine (guard →
-//!   preprocess → shard route → N locators) that both the streaming worker
-//!   and every serving tenant drive.
+//! - `engine` (crate-private) — the one pipeline state machine (guard →
+//!   preprocess → shard route → N locators) that batch analysis, the
+//!   streaming worker and every serving tenant drive.
 //! - [`pipeline`] — the assembled system: batch analysis and a supervised,
 //!   channel-based streaming mode, both optionally region-sharded via
 //!   [`StreamingConfig::shards`].

@@ -78,8 +78,9 @@ pub enum Stage {
     /// A fault-injection rule fired at this stage boundary while the alert
     /// (or its incident) was in flight.
     FaultInjected(crate::faultinject::InjectionSite),
-    /// A supervisor restarted the panicked worker on this lane (shard
-    /// index, or 0 for the unsharded worker) that was carrying the alert.
+    /// The `locate-worker` of this shard panicked while carrying the alert;
+    /// recorded as the engine quarantines it, before the unwind reaches
+    /// whoever restarts or resumes the worker.
     WorkerRestarted(u16),
 }
 

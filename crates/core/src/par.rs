@@ -1,14 +1,14 @@
 //! Order-preserving parallel map on a persistent worker pool.
 //!
-//! The pipeline's parallel stages (per-shard location, batched incident
-//! evaluation, streaming ticks) are CPU-bound and deterministic; what they
-//! need from a thread pool is *nothing but* index-stable fan-out. Earlier
-//! revisions spawned fresh scoped threads on every [`parallel_map`] call,
-//! which put an OS thread creation on every batch and every streaming
-//! tick. The [`WorkerPool`] keeps one set of workers alive for the life of
-//! the process instead: jobs are chunks of a map call, fed through a
-//! queue, with results written to index-stable slots so the output stays
-//! byte-identical to the sequential map at any worker count.
+//! The pipeline's one parallel stage — batched incident evaluation in
+//! `Evaluator::rank_memoized` (distinct-matrix builds, then per-incident
+//! scoring) — is CPU-bound and deterministic; what it needs from a thread
+//! pool is *nothing but* index-stable fan-out. Spawning fresh scoped
+//! threads on every [`parallel_map`] call would put an OS thread creation
+//! on every ranking. The [`WorkerPool`] keeps one set of workers alive for
+//! the life of the process instead: jobs are chunks of a map call, fed
+//! through a queue, with results written to index-stable slots so the
+//! output stays byte-identical to the sequential map at any worker count.
 //!
 //! [`parallel_map`] is a thin facade over the process-wide
 //! [`shared_pool`]: it keeps the exact chunking of the scoped-thread
@@ -146,8 +146,8 @@ fn worker_loop(shared: &PoolShared, jobs_completed: &AtomicU64) {
 }
 
 /// A persistent pool of worker threads executing chunked, order-preserving
-/// map calls. Created once (see [`shared_pool`]) and reused by every batch
-/// `parallel_map`, the evaluator's 3-phase prebuild and streaming ticks —
+/// map calls. Created once (see [`shared_pool`]) and reused by every
+/// `parallel_map` call — the evaluator's matrix prebuild and scoring — with
 /// no per-call thread spawning.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,

@@ -5,14 +5,15 @@
 //! [`SkyNet::stream`] runs the same stages as a long-lived, *supervised*
 //! worker thread fed through a channel, the shape the production deployment
 //! uses ("the alert preprocessing occurs through a stream processing
-//! mechanism", §6.2). The worker drives the same crate-private `Engine`
-//! every serving tenant does: streaming is one anonymous tenant without a
-//! WAL.
+//! mechanism", §6.2). Both drive the crate-private `Engine` every serving
+//! tenant does: a recorded flood is the stream replayed a stage at a time,
+//! and streaming is one anonymous tenant without a WAL.
 //!
 //! The streaming runtime is built to survive the conditions it analyzes:
 //!
-//! - an [`IngestGuard`] validates and re-sequences the feed, quarantining
-//!   rejects in a dead-letter queue instead of poisoning the locator;
+//! - an [`IngestGuard`](crate::guard::IngestGuard) validates and
+//!   re-sequences the feed, quarantining rejects in a dead-letter queue
+//!   instead of poisoning the locator;
 //! - [`StreamingHandle::send_alert`] applies **class-aware load shedding**
 //!   when the event channel saturates — [`AlertClass::Failure`] alerts are
 //!   never shed, [`AlertClass::Abnormal`] alerts go first;
@@ -21,29 +22,25 @@
 //!   snapshots), up to a configurable cap;
 //! - [`StreamingHandle::health`] is the liveness probe.
 
-use crate::engine::{fault_letter, Engine};
+use crate::engine::Engine;
 use crate::error::{RejectReason, SkyNetError};
 use crate::evaluator::{Evaluator, EvaluatorConfig, MatrixMemo, ScoredIncident};
 use crate::faultinject::{
-    self, DegradationReport, FaultAction, FaultConfig, FaultPanic, FaultPlane, InjectedFault,
-    InjectionSite,
+    self, DegradationReport, FaultConfig, FaultPanic, FaultPlane, InjectedFault, InjectionSite,
 };
-use crate::guard::{DeadLetter, DeadLetterQueue, GuardConfig, IngestGuard, IngestStats};
-use crate::locator::{Incident, Locator, LocatorConfig};
+use crate::guard::{DeadLetter, DeadLetterQueue, GuardConfig, IngestStats};
+use crate::locator::{Incident, LocatorConfig};
 use crate::obs::{
-    Counter, Exporter, Histogram, ObsConfig, Observability, RegistrySnapshot, Stage, TraceEvent,
+    Counter, Exporter, ObsConfig, Observability, RegistrySnapshot, Stage, TraceEvent,
     LATENCY_BUCKETS,
 };
-use crate::par::parallel_map;
-use crate::preprocess::{PreprocessStats, Preprocessor, PreprocessorConfig, SyslogClassifier};
-use crate::shard::{ShardRouter, FALLBACK_SHARD};
+use crate::preprocess::{PreprocessStats, PreprocessorConfig, SyslogClassifier};
 use crate::sop::{SopEngine, SopPlan};
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use skynet_model::{
-    AlertClass, AlertKind, IncidentId, PingLog, PingSample, RawAlert, SimTime, StructuredAlert,
-    TraceId,
+    AlertClass, AlertKind, IncidentId, PingLog, PingSample, RawAlert, SimTime, TraceId,
 };
 use skynet_topology::Topology;
 use std::panic::AssertUnwindSafe;
@@ -75,14 +72,16 @@ pub struct StreamingConfig {
     /// by [`StreamingHandle::send_alert`].
     pub shed_high_water: f64,
     /// Worker panics tolerated (each costs a restart with fresh stage
-    /// state) before the supervisor gives up.
+    /// state) before the streaming supervisor gives up. Batch analysis
+    /// and serving tenants keep their engine across a panic and have no
+    /// budget.
     pub max_restarts: u32,
     /// Region-affine shards for the locate stage: structured alerts route
-    /// to one of N locators by the [`ShardRouter`]. Batch analysis runs
-    /// the N locators in parallel; the streaming worker and every serving
-    /// tenant apply them in sequence on their one worker thread. Reports
-    /// are byte-identical at any shard count — see the module docs of
-    /// [`crate::shard`].
+    /// to one of N locators by the [`ShardRouter`](crate::shard::ShardRouter).
+    /// Every driver — batch analysis, the streaming worker, each serving
+    /// tenant — applies the N locators in sequence on its one thread: a
+    /// layout, not a parallel mode. Reports are byte-identical at any
+    /// shard count — see the module docs of [`crate::shard`].
     #[serde(default = "default_shards")]
     pub shards: usize,
 }
@@ -419,9 +418,9 @@ impl SkyNetBuilder {
             .observability
             .unwrap_or_else(|| Observability::new(&self.cfg.obs));
         // Warm the process-wide worker pool here (rather than lazily on the
-        // first batch) and expose its size: the first analyze call then
+        // first ranking) and expose its size: the first analyze call then
         // pays no thread-spawn cost, and dashboards can see how wide the
-        // parallel stages fan out.
+        // evaluator fans out.
         let pool = crate::par::shared_pool();
         obs.registry()
             .gauge(
@@ -527,206 +526,76 @@ impl SkyNet {
     /// [`SkyNet::analyze`], taking ownership of the flood so no alert is
     /// cloned on the hot path.
     ///
-    /// With `streaming.shards > 1` the locate stage runs region-sharded:
-    /// the guard and preprocessor consume the feed sequentially (the
-    /// watermark is global and peered ping alerts split into *both*
-    /// endpoint regions, so sharding raw alerts would change admission and
-    /// consolidation), then structured alerts fan out by region to one
-    /// locator per shard, run in parallel, and the completed incidents
-    /// merge back into the canonical order. The report is byte-identical
-    /// at any shard count.
+    /// A recorded flood is the stream replayed: one engine — the one the
+    /// streaming worker and every serving tenant drive — takes the whole
+    /// flood a stage at a time (guard everything, preprocess everything
+    /// released, locate everything emitted), which keeps each stage's
+    /// working set hot. With `streaming.shards > 1` structured alerts route
+    /// by region to one locator per shard and the completed incidents merge
+    /// back into the canonical order; the report is byte-identical at any
+    /// shard count.
+    ///
+    /// An injected panic is contained the way a serving tenant contains
+    /// it: the alert in flight is lost (the guard and `locate-worker` sites
+    /// quarantine it first), the engine keeps its state and the stage
+    /// resumes behind the poisoned alert, each panic counted in
+    /// `skynet_worker_restarts_total`. Nothing is replayed and there is no
+    /// restart budget (`max_restarts` is the streaming supervisor's). Any
+    /// other panic is a bug and unwinds into the caller.
     pub fn analyze_owned(
         &self,
         alerts: Vec<RawAlert>,
         ping: &PingLog,
         horizon: SimTime,
     ) -> AnalysisReport {
-        let shards = self.cfg.streaming.shards.max(1);
         let plane = FaultPlane::from_config(&self.cfg.faults, &self.obs);
-        let arm = |site: InjectionSite| plane.as_ref().and_then(|p| p.arm(site, 0));
         let dead = Arc::new(Mutex::new(DeadLetterQueue::new(
             self.cfg.streaming.guard.dead_letter_capacity,
         )));
-        let mut preprocessor =
-            Preprocessor::new(self.cfg.preprocessor.clone(), self.classifier.clone())
-                .with_observability(&self.obs)
-                .with_faults(
-                    arm(InjectionSite::PreprocessClassify),
-                    arm(InjectionSite::PreprocessConsolidate),
-                );
-        let mut guard = IngestGuard::with_dead_letters(
-            &self.topo,
-            self.cfg.streaming.guard.clone(),
-            Arc::clone(&dead),
-        )
-        .with_observability(&self.obs)
-        .with_faults(
-            arm(InjectionSite::GuardOffer),
-            arm(InjectionSite::GuardValidate),
-        );
-        let route_fault = arm(InjectionSite::ShardRoute);
-        let router = ShardRouter::new(self.topo.interner(), shards);
-        let tracer = self.obs.tracer();
-        let stage_seconds = StageLatency::registered(&self.obs);
-
-        // Guard: admit, re-sequence, reject. Feed-order releases are
-        // independent of when downstream stages consume them.
-        let started = Instant::now();
-        let mut released = Vec::with_capacity(alerts.len());
-        guard.offer_batch(alerts, &mut released);
-        guard.advance(horizon, &mut released);
-        guard.flush(&mut released);
-        let guarded = Instant::now();
-        stage_seconds
-            .guard
-            .observe(guarded.duration_since(started).as_secs_f64());
-
-        // Preprocess sequentially, routing each structured alert to its
-        // region's shard.
-        let mut partitions: Vec<Vec<StructuredAlert>> = vec![Vec::new(); shards];
-        let mut structured = Vec::new();
-        for raw in &released {
-            structured.clear();
-            preprocessor.push(raw, &mut structured);
-            for alert in structured.drain(..) {
-                let shard = if faultinject::trip(&route_fault, alert.trace, alert.last_seen) {
-                    FALLBACK_SHARD
-                } else {
-                    router.route(&alert.location)
-                };
-                tracer.record(
-                    alert.trace,
-                    alert.last_seen,
-                    Stage::ShardRouted(shard as u16),
-                );
-                partitions[shard].push(alert);
-            }
-        }
-        preprocessor.finish();
-        let preprocessed = Instant::now();
-        stage_seconds
-            .preprocess
-            .observe(preprocessed.duration_since(guarded).as_secs_f64());
-
-        // Locate each shard's sub-stream in parallel. A region-restricted
-        // locator fires the same grid checks over the same region-local
-        // state as the global one, so per-shard incidents equal the
-        // single worker's (see DESIGN.md on the sharding invariants).
-        //
-        // Each lane runs under its own catch_unwind retry loop so injected
-        // locate-worker panics exercise the same restart semantics the
-        // streaming supervisor has: a panicked lane restarts with a fresh
-        // locator and replays its whole partition (the fault arm's state
-        // lives in the plane, so the decision stream does not rewind). A
-        // lane that exhausts the restart budget surrenders its partition
-        // as dead letters instead of losing it.
-        let restart_counter = self.obs.registry().counter(
+        let mut engine = Engine::new(self, 0, dead, &plane);
+        let reg = self.obs.registry();
+        let restarts = reg.counter(
             "skynet_worker_restarts_total",
             "worker restarts performed by the supervisors",
         );
-        let max_restarts = self.cfg.streaming.max_restarts;
-        let lanes: Vec<(u32, Vec<StructuredAlert>)> = partitions
-            .into_iter()
-            .enumerate()
-            .map(|(lane, batch)| (lane as u32, batch))
-            .collect();
-        let locate =
-            |(lane, batch): (u32, Vec<StructuredAlert>)| -> (Vec<Incident>, Vec<StructuredAlert>) {
-                let fault = plane
-                    .as_ref()
-                    .and_then(|p| p.arm(InjectionSite::LocateWorker, lane));
-                let mut attempts = 0u32;
-                loop {
-                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        let mut locator = Locator::new(&self.topo, self.cfg.locator.clone())
-                            .with_observability(&self.obs);
-                        let mut lost = Vec::new();
-                        for alert in &batch {
-                            if let Some(arm) = &fault {
-                                match arm.check(alert.trace, alert.last_seen) {
-                                    Some(FaultAction::Error) => {
-                                        lost.push(alert.clone());
-                                        continue;
-                                    }
-                                    Some(FaultAction::Panic) => arm.panic_now(),
-                                    Some(FaultAction::Latency(ms)) => faultinject::sleep_ms(ms),
-                                    None => {}
-                                }
-                            }
-                            tracer.record(alert.trace, alert.last_seen, Stage::LocateInserted);
-                            locator.insert(alert);
-                        }
-                        locator.advance(horizon);
-                        locator.finish();
-                        (locator.take_completed(), lost)
-                    }));
-                    match outcome {
-                        Ok(result) => return result,
-                        Err(_) => {
-                            attempts += 1;
-                            restart_counter.inc();
-                            if let Some(arm) = &fault {
-                                tracer.record(
-                                    arm.last_fired_trace(),
-                                    arm.last_fired_at(),
-                                    Stage::WorkerRestarted(lane as u16),
-                                );
-                            }
-                            if attempts > max_restarts {
-                                // Budget exhausted: preserve the whole
-                                // partition rather than dropping it silently.
-                                return (Vec::new(), batch.clone());
-                            }
-                        }
-                    }
+        // Runs one stage to completion, resuming it after every injected
+        // panic — which fires on one alert, already past the engine's
+        // cursor; a panic of any other origin would fire again on resume.
+        let resume = |stage: &mut dyn FnMut()| {
+            while let Err(panic) = std::panic::catch_unwind(AssertUnwindSafe(&mut *stage)) {
+                if !panic.is::<FaultPanic>() {
+                    std::panic::resume_unwind(panic);
                 }
-            };
-        let per_shard = parallel_map(lanes, shards, locate);
-        self.obs
-            .registry()
-            .gauge(
-                "skynet_pool_jobs_completed",
-                "chunk jobs executed by the shared worker pool (process-wide)",
+                restarts.inc();
+            }
+        };
+        // Latency is observed once per stage per analysis, never per alert:
+        // the hot loops stay free of clock reads.
+        let mut mark = Instant::now();
+        let mut lap = |stage: &str| {
+            let now = Instant::now();
+            reg.histogram(
+                "skynet_stage_seconds",
+                Some(("stage", stage)),
+                &LATENCY_BUCKETS,
+                "wall-clock seconds spent per pipeline phase",
             )
-            .set(crate::par::shared_pool().jobs_completed() as f64);
-        let mut incident_parts = Vec::with_capacity(per_shard.len());
-        for (completed, lost) in per_shard {
-            // Dead-letter fault-intercepted alerts here, sequentially in
-            // shard order, so the queue's contents replay identically.
-            for alert in &lost {
-                fault_letter(&dead, alert);
-            }
-            incident_parts.push(completed);
-        }
-        let incidents = merge_incidents(incident_parts);
-        let located = Instant::now();
-        stage_seconds
-            .locate
-            .observe(located.duration_since(preprocessed).as_secs_f64());
-        // Completion events carry the *canonical* (post-merge) incident
-        // ids, so explain answers match the report the operator reads.
-        for incident in &incidents {
-            for alert in &incident.alerts {
-                tracer.record(
-                    alert.trace,
-                    incident.last_seen,
-                    Stage::IncidentCompleted(incident.id),
-                );
-            }
-        }
-
-        let dead_letters: Vec<DeadLetter> = dead.lock().letters().cloned().collect();
-        let report = self.finish_report(
-            incidents,
-            ping,
-            preprocessor.stats(),
-            guard.stats(),
-            dead_letters,
-            plane,
-        );
-        stage_seconds
-            .evaluate
-            .observe(located.elapsed().as_secs_f64());
+            .observe(now.duration_since(mark).as_secs_f64());
+            mark = now;
+        };
+        let mut alerts = alerts.into_iter();
+        resume(&mut || engine.admit(&mut alerts, horizon));
+        lap("guard");
+        resume(&mut || engine.preprocess());
+        lap("preprocess");
+        let mut incidents = Vec::new();
+        resume(&mut || {
+            engine.locate();
+            incidents = engine.close(horizon);
+        });
+        lap("locate");
+        let report = self.finish_report(&engine, incidents, ping, plane);
+        lap("evaluate");
         report
     }
 
@@ -754,13 +623,13 @@ impl SkyNet {
         )
     }
 
+    /// Scores a closed run's incidents against `ping` and assembles the
+    /// report with the engine's counters and dead letters.
     pub(crate) fn finish_report(
         &self,
+        engine: &Engine,
         incidents: Vec<Incident>,
         ping: &PingLog,
-        preprocess: PreprocessStats,
-        ingest: IngestStats,
-        dead_letters: Vec<DeadLetter>,
         plane: Option<Arc<FaultPlane>>,
     ) -> AnalysisReport {
         let evaluator = Evaluator::new(&self.topo, self.cfg.evaluator.clone()).with_faults(
@@ -828,44 +697,15 @@ impl SkyNet {
                 }
             }
         }
+        let dead_letters = engine.dead_letters().lock().letters().cloned().collect();
         AnalysisReport {
             incidents: scored,
             sop_plans,
-            preprocess,
-            ingest,
+            preprocess: engine.preprocess_stats(),
+            ingest: engine.ingest_stats(),
             severity_threshold: self.cfg.evaluator.severity_threshold,
             faults: plane.as_ref().map(|p| p.ledger()).unwrap_or_default(),
             dead_letters,
-        }
-    }
-}
-
-/// Per-phase wall-clock histograms. Latency is observed at *phase*
-/// granularity (one observation per stage per analysis, or per streaming
-/// tick), never per alert — the hot loops stay free of clock reads.
-struct StageLatency {
-    guard: Histogram,
-    preprocess: Histogram,
-    locate: Histogram,
-    evaluate: Histogram,
-}
-
-impl StageLatency {
-    fn registered(obs: &Observability) -> Self {
-        let reg = obs.registry();
-        let stage = |name: &str| {
-            reg.histogram(
-                "skynet_stage_seconds",
-                Some(("stage", name)),
-                &LATENCY_BUCKETS,
-                "wall-clock seconds spent per pipeline phase",
-            )
-        };
-        StageLatency {
-            guard: stage("guard"),
-            preprocess: stage("preprocess"),
-            locate: stage("locate"),
-            evaluate: stage("evaluate"),
         }
     }
 }
@@ -1786,7 +1626,7 @@ pub(crate) mod tests {
 
     #[test]
     fn exhausted_supervisor_preserves_the_injected_cause() {
-        use crate::faultinject::FaultRule;
+        use crate::faultinject::{FaultAction, FaultRule};
         let t = topo();
         let site = t.clusters()[0].parent();
         let mut cfg = PipelineConfig::production().with_faults(FaultConfig::seeded(17).with_rule(

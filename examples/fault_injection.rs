@@ -1,7 +1,7 @@
 //! Deterministic fault injection end to end: seed a chaos policy, break a
 //! router, inject stage faults while the flood is analyzed, then read the
 //! post-incident degradation report and ask `explain()` what happened to
-//! an alert that went through a crashed-and-restarted locate worker.
+//! the alert a locate worker crashed on.
 //!
 //! Run it twice — the same seed replays the same faults, byte for byte.
 //!
@@ -33,10 +33,10 @@ fn main() {
     let run = TelemetrySuite::standard(&topo, TelemetryConfig::default()).run(&scenario);
     println!("flood: {} raw alerts", run.alerts.len());
 
-    // The chaos policy: a one-shot locate-worker panic (exercises the
-    // supervisor's restart path), a low-probability ingest error
-    // (exercises the dead-letter queue), a skipped reachability matrix and
-    // a skipped SOP match. One seed governs every probabilistic draw.
+    // The chaos policy: a one-shot locate-worker panic (the alert in
+    // flight is quarantined and the analysis resumes behind it), a
+    // low-probability ingest error (exercises the dead-letter queue), a
+    // skipped reachability matrix and a skipped SOP match. One seed governs every probabilistic draw.
     let faults = FaultConfig::seeded(7)
         .with_rule(FaultRule::once(
             InjectionSite::LocateWorker,

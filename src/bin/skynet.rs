@@ -84,9 +84,10 @@ fn apply_chaos(alerts: Vec<RawAlert>, seed: u64) -> Vec<RawAlert> {
     degraded
 }
 
-/// The demo's stage-fault mix: a periodic locate-worker panic (exercises
-/// the supervisor), a low-probability guard error (exercises the
-/// dead-letter queue) and a one-shot SOP skip.
+/// The demo's stage-fault mix: a periodic locate-worker panic (each
+/// quarantines the alert in flight; the analysis resumes behind it), a
+/// low-probability guard error (exercises the dead-letter queue) and a
+/// one-shot SOP skip.
 fn demo_faults(seed: u64) -> FaultConfig {
     FaultConfig::seeded(seed)
         .with_rule(FaultRule::every(

@@ -7,8 +7,8 @@
 //!   dead-letter contents — at 1 and 4 shards (the CI fault matrix drives
 //!   this test across seeds and fault mixes via `SKYNET_FAULT_SEED` /
 //!   `SKYNET_FAULT_MIX`);
-//! - `explain()` on an alert that went through a restarted locate worker
-//!   shows the injection and the restart;
+//! - `explain()` on the alert a locate worker panicked on shows the
+//!   injection and the restart, and the alert itself is quarantined;
 //! - the post-incident degradation report lists every injected fault with
 //!   its site and disposition;
 //! - a disabled `FaultConfig` is invisible: identical output, no fault
@@ -143,8 +143,9 @@ fn env_u64(name: &str, default: u64) -> u64 {
 /// three mixes; a bare `cargo test` exercises seed 1 × `error`.
 fn matrix_rules(mix: &str) -> Vec<FaultRule> {
     match mix {
-        // Batch runs only supervise the locate workers, so the panic mix
-        // stays there: one panic, one restart, a fully recovered report.
+        // The panic mix stays at the locate boundary, where the alert in
+        // flight is quarantined before the unwind: one panic, one restart,
+        // one fault letter, and the analysis resumes behind it.
         "panic" => vec![FaultRule::once(
             InjectionSite::LocateWorker,
             20,
@@ -207,8 +208,8 @@ fn seeded_chaos_run_replays_byte_identical() {
 }
 
 /// "Where did alert X go?" across a worker crash: the trace of the alert
-/// whose check fired the panic shows the injection and the restart, and
-/// the run still produces incidents.
+/// whose check fired the panic shows the injection and the restart, the
+/// alert itself waits in quarantine, and the run still produces incidents.
 #[test]
 fn explain_shows_injection_and_restart() {
     let topo = topo();
@@ -242,19 +243,20 @@ fn explain_shows_injection_and_restart() {
         "explain() must show the lane-0 restart: {events:?}"
     );
 
-    // One panic, one restart — the arm's decision stream resumed (rather
-    // than rewound) across the replay, so the once-rule did not re-fire.
+    // One panic, one restart — the analysis resumed behind the poisoned
+    // alert (nothing is replayed), so the once-rule did not re-fire.
     let snap = net.observability().snapshot();
     assert_eq!(snap.counter("skynet_worker_restarts_total", None), 1);
     assert_eq!(report.faults.len(), 1);
     assert!(
         !report.incidents.is_empty(),
-        "the replayed partition still resolves incidents"
+        "the resumed analysis still resolves incidents"
     );
-    assert!(
-        report.dead_letters.is_empty(),
-        "a survived panic loses nothing"
-    );
+    // A survived panic costs exactly the alert in flight, and that one is
+    // quarantined under its own trace.
+    assert_eq!(report.dead_letters.len(), 1);
+    assert_eq!(report.dead_letters[0].reason, RejectReason::FaultInjected);
+    assert_eq!(report.dead_letters[0].alert.trace, fault.trace);
 }
 
 /// The degradation report is the complete post-incident record: every
@@ -391,10 +393,11 @@ fn failure_class(body: &AlertBody) -> bool {
     matches!(body, AlertBody::Known(kind) if kind.class() == AlertClass::Failure)
 }
 
-/// Satellite invariant: under injected locate-worker panics — up to and
-/// including restart-budget exhaustion — every Failure-class alert is
-/// accounted for, either in the report's incidents or in the dead-letter
-/// queue. Nothing Failure-class vanishes silently.
+/// Satellite invariant: under injected locate-worker panics — more of
+/// them than the streaming supervisor's restart budget would tolerate —
+/// every Failure-class alert is accounted for, either in the report's
+/// incidents or in the dead-letter queue. Nothing Failure-class vanishes
+/// silently.
 #[test]
 fn failure_class_alerts_survive_injected_panics() {
     let topo = topo();
@@ -421,9 +424,9 @@ fn failure_class_alerts_survive_injected_panics() {
         "the burst produces Failure-class alerts"
     );
 
-    // A panic every 5 locate checks against a budget of 1 restart: the
-    // lane exhausts its budget and must surrender the partition to the
-    // dead-letter queue instead of dropping it.
+    // A panic every 5 locate checks: each quarantines the alert in flight
+    // and the analysis resumes behind it. `max_restarts` is the streaming
+    // supervisor's budget; batch has none and never gives up.
     let mut cfg = PipelineConfig::production().with_faults(FaultConfig::seeded(3).with_rule(
         FaultRule::every(InjectionSite::LocateWorker, 5, FaultAction::Panic),
     ));
@@ -449,22 +452,21 @@ fn failure_class_alerts_survive_injected_panics() {
         .filter(|l| l.reason == RejectReason::FaultInjected && failure_class(&l.alert.body))
         .count();
     assert!(
-        letter_failures > 0,
-        "the surrendered partition is preserved"
-    );
-    assert!(
         incident_failures + letter_failures >= clean_failures,
         "Failure-class alerts lost: {incident_failures} in incidents + \
          {letter_failures} dead-lettered < {clean_failures} in the clean run"
     );
 
-    // Budget accounting: panic at check 5 (restart), panic again at check
-    // 10 (budget exhausted — surrender).
+    // Accounting: one restart and one fault letter per panic fired, far
+    // past the budget of 1.
+    let panics = report.faults.len() as u64;
+    assert!(panics > 2, "only {panics} panics fired");
     let snap = net.observability().snapshot();
-    assert_eq!(snap.counter("skynet_worker_restarts_total", None), 2);
+    assert_eq!(snap.counter("skynet_worker_restarts_total", None), panics);
     let deg = net.degradation_report(&report);
-    assert_eq!(deg.restarts, 2);
-    assert!(deg.fault_dead_letters > 0);
+    assert_eq!(deg.restarts, panics);
+    assert_eq!(deg.fault_dead_letters, panics);
+    assert!(!deg.gave_up);
 }
 
 /// Streaming: an injected locate panic dead-letters the alert *before*

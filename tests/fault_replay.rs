@@ -4,9 +4,11 @@
 //! metrics scrapes (minus wall-clock latency histograms) and dead-letter
 //! contents, at one shard and at four.
 //!
-//! Panic rules are drawn only for the locate-worker site: batch runs
-//! supervise exactly the locate lanes (see DESIGN.md), so a panic anywhere
-//! else would legitimately unwind out of `analyze`.
+//! Panic rules are drawn only for the locate-worker site: batch contains a
+//! panic in its guard, preprocess and locate stages (quarantine the alert
+//! in flight, resume behind it — see DESIGN.md "Panic semantics"), but the
+//! any-site strategy would also draw `matrix-build`, `evaluate` and
+//! `sop-select`, where a panic legitimately unwinds out of `analyze`.
 
 use proptest::prelude::*;
 use skynet::core::{FaultAction, FaultConfig, FaultRule, InjectionSite};
@@ -84,8 +86,8 @@ fn site_strategy() -> impl Strategy<Value = InjectionSite> {
 }
 
 /// Any rule the policy grammar admits, minus real sleeps (latency faults
-/// use a zero-millisecond delay so the suite stays fast) and minus panics
-/// outside the supervised locate boundary.
+/// use a zero-millisecond delay so the suite stays fast) and minus panics,
+/// which `policy_strategy` adds at the locate boundary only.
 fn rule_strategy() -> impl Strategy<Value = FaultRule> {
     (
         site_strategy(),
@@ -191,12 +193,9 @@ proptest! {
         );
 
         // Guard-intercepted alerts are preserved, never silently dropped:
-        // the guard runs sequentially with no retry loop, so every
-        // dead-lettering guard fault maps to at least one quarantined
-        // letter. (Locate-lane errors recorded before a panic in the same
-        // attempt are legitimately superseded by the replay, so they are
-        // excluded here; the fault_injection suite covers the lane
-        // budget-exhaustion invariant.)
+        // every dead-lettering guard fault maps to a quarantined letter.
+        // (Locate-worker errors and panics quarantine theirs too, hence
+        // `>=`; the fault_injection suite counts those.)
         let letters = a
             .dead_letters
             .iter()
