@@ -9,9 +9,8 @@ pub use zoom::{MatrixMemo, MatrixMemoStats, ReachabilityMatrix, ZoomMethod, Zoom
 
 use crate::faultinject::{self, FaultArm};
 use crate::locator::Incident;
-use crate::par::parallel_map;
 use serde::{Deserialize, Serialize};
-use skynet_model::{AlertKind, CustomerId, LocId, LocationLevel, PingLog, SimTime, TraceId};
+use skynet_model::{AlertKind, CustomerId, LocId, PingLog, TraceId};
 use skynet_topology::Topology;
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
@@ -388,13 +387,11 @@ impl Evaluator {
     /// Scores a batch, ranks by severity (highest first) — the incident
     /// ranking operators act on.
     ///
-    /// The reachability matrix for each distinct `(window, level)` is built
-    /// once in a [`MatrixMemo`] (incidents completed by the same locator
-    /// check share their windows, so the per-incident `PingLog` rescan is
-    /// gone), and scoring fans out over scoped threads. Both the memo
-    /// prebuild and the ranking are deterministic: the parallel map
-    /// preserves input order and the severity sort is stable, so ties keep
-    /// their batch order regardless of worker count.
+    /// [`Evaluator::evaluate_memoized`] per incident, in input order, over
+    /// one fresh [`MatrixMemo`] (incidents completed by the same locator
+    /// check share their windows, so the `PingLog` is scanned once per
+    /// distinct window, not once per incident), then one stable sort: ties
+    /// keep their batch order.
     pub fn rank(&self, incidents: Vec<Incident>, ping: &PingLog) -> Vec<ScoredIncident> {
         self.rank_memoized(incidents, ping).0
     }
@@ -406,61 +403,25 @@ impl Evaluator {
         incidents: Vec<Incident>,
         ping: &PingLog,
     ) -> (Vec<ScoredIncident>, MatrixMemoStats) {
-        type Key = (SimTime, SimTime, LocationLevel);
-        // Phase 1 — sequential: fault-site checks stay in incident order
-        // (the injection decision streams must never depend on worker
-        // count), and the distinct (window, level) keys are collected in
-        // first-use order.
-        let mut keys: Vec<Key> = Vec::new();
-        let mut seen: HashSet<Key> = HashSet::new();
-        let checked: Vec<(Incident, Option<Key>, bool)> = incidents
-            .into_iter()
-            .map(|incident| {
-                let (matrix_degraded, zoom_degraded) = self.check_faults(&incident);
-                let key =
-                    (!matrix_degraded && !zoom_degraded).then(|| zoom::matrix_window(&incident));
-                if let Some(k) = key {
-                    if seen.insert(k) {
-                        keys.push(k);
-                    }
-                }
-                (incident, key, zoom_degraded)
-            })
-            .collect();
-        // Phase 2 — parallel: build each distinct matrix exactly once,
-        // fanned out over the same scoped-thread pool the scoring uses.
-        // The memo itself stays lock-free: workers never touch it.
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let built = parallel_map(keys.clone(), workers, |(from, to, level)| {
-            Arc::new(ReachabilityMatrix::build(ping, from, to, level))
-        });
         let mut memo = MatrixMemo::new();
-        let log_len = ping.samples().len();
-        for (key, matrix) in keys.into_iter().zip(built) {
-            memo.preload(key, matrix, log_len);
-        }
-        // Phase 3 — sequential claims reproduce the sequential prebuild's
-        // builds/hits accounting exactly, then scoring fans out.
-        let empty = Arc::new(ReachabilityMatrix::empty());
-        let jobs: Vec<(Incident, Arc<ReachabilityMatrix>, bool)> = checked
-            .into_iter()
-            .map(|(incident, key, zoom_degraded)| {
-                let matrix = match key {
-                    Some(k) => memo.claim(k),
-                    None => Arc::clone(&empty),
-                };
-                (incident, matrix, zoom_degraded)
-            })
-            .collect();
-        let mut scored = parallel_map(jobs, workers, |(incident, matrix, zoom_degraded)| {
-            if zoom_degraded {
-                self.scored_with(incident, None)
-            } else {
-                self.evaluate_with(incident, &matrix)
-            }
-        });
-        scored.sort_by(|a, b| b.score().total_cmp(&a.score()));
+        let scored = self.rank_with(incidents, ping, &mut memo);
         (scored, memo.stats())
+    }
+
+    /// [`Evaluator::rank`] through a caller-held memo — the pipeline's is
+    /// wired to its metrics registry.
+    pub(crate) fn rank_with(
+        &self,
+        incidents: Vec<Incident>,
+        ping: &PingLog,
+        memo: &mut MatrixMemo,
+    ) -> Vec<ScoredIncident> {
+        let mut scored: Vec<ScoredIncident> = incidents
+            .into_iter()
+            .map(|incident| self.evaluate_memoized(incident, ping, memo))
+            .collect();
+        scored.sort_by(|a, b| b.score().total_cmp(&a.score()));
+        scored
     }
 
     /// Applies the §6.4 severity filter: only incidents at or above the
@@ -659,32 +620,136 @@ mod tests {
         assert!(stats.hit_rate() > 0.9);
     }
 
+    /// A link-down incident at `root` whose matrix window is
+    /// `[start, start + 31)`.
+    fn windowed(root: &LocationPath, start: u64) -> Incident {
+        incident(
+            &root.to_string(),
+            vec![
+                salert(
+                    DataSource::Snmp,
+                    AlertKind::LinkDown,
+                    start,
+                    root.clone(),
+                    1.0,
+                ),
+                salert(
+                    DataSource::Ping,
+                    AlertKind::PacketLossIcmp,
+                    start + 30,
+                    root.clone(),
+                    0.3,
+                ),
+            ],
+        )
+    }
+
     #[test]
     fn rank_matches_sequential_evaluation() {
         let t = topo();
         let ev = Evaluator::new(&t, EvaluatorConfig::default());
-        let site = t.clusters()[0].parent();
-        let incidents: Vec<Incident> = (0..9u64)
-            .map(|i| {
-                incident(
-                    &site.to_string(),
-                    vec![salert(
-                        DataSource::Snmp,
-                        AlertKind::LinkDown,
-                        i * 7,
-                        site.clone(),
-                        1.0,
-                    )],
-                )
-            })
+        // The logic site above the first cluster: six clusters under it.
+        let root = t.clusters()[0].parent().parent();
+        let clusters: Vec<&LocationPath> = t
+            .clusters()
+            .iter()
+            .filter(|c| root.is_strict_ancestor_of(c))
             .collect();
-        let ping = PingLog::new();
+        // One cluster lossy to and from every other, with a loss that
+        // varies by second, so each window has its own non-empty matrix.
+        let mut lossy = PingLog::new();
+        for s in 0..110u64 {
+            let other = clusters[1 + (s as usize % (clusters.len() - 1))];
+            let loss = 0.03 + (s % 7) as f64 * 0.01;
+            lossy.record(
+                SimTime::from_secs(s),
+                clusters[0].clone(),
+                other.clone(),
+                loss,
+            );
+            lossy.record(
+                SimTime::from_secs(s),
+                other.clone(),
+                clusters[0].clone(),
+                loss,
+            );
+        }
+        // Window starts, and the (slides, rebuilds, hits) they take: in
+        // time order over an empty log, then forward (the memo slides),
+        // backward (it rebuilds) and repeated (it hits) over the lossy one.
+        let inputs: [(PingLog, [u64; 9], (u64, u64, u64)); 2] = [
+            (
+                PingLog::new(),
+                [0, 7, 14, 21, 28, 35, 42, 49, 56],
+                (8, 1, 0),
+            ),
+            (lossy, [0, 20, 40, 10, 60, 60, 30, 70, 5], (4, 4, 1)),
+        ];
+        for (ping, starts, lookups) in inputs {
+            let incidents: Vec<Incident> = starts.iter().map(|&s| windowed(&root, s)).collect();
+            let mut sequential: Vec<ScoredIncident> = incidents
+                .iter()
+                .map(|i| ev.evaluate(i.clone(), &ping))
+                .collect();
+            sequential.sort_by(|a, b| b.score().total_cmp(&a.score()));
+            let (ranked, stats) = ev.rank_memoized(incidents, &ping);
+            assert_eq!(ranked, sequential);
+            assert_eq!((stats.delta_updates, stats.rebuilds, stats.hits), lookups);
+            // A non-empty matrix decided at least one zoom.
+            assert_eq!(
+                ranked
+                    .iter()
+                    .any(|s| s.zoom.method == ZoomMethod::ReachabilityMatrix),
+                !ping.samples().is_empty()
+            );
+        }
+    }
+
+    #[test]
+    fn rank_checks_fault_arms_in_incident_order() {
+        use crate::faultinject::{FaultAction, FaultConfig, FaultPlane, FaultRule, InjectionSite};
+        use crate::obs::{ObsConfig, Observability};
+        let t = topo();
+        let site = t.clusters()[0].parent();
+        let incidents: Vec<Incident> = (0..12u64).map(|i| windowed(&site, i * 5)).collect();
+        let mut ping = PingLog::new();
+        ping.record(
+            SimTime::from_secs(10),
+            t.clusters()[0].clone(),
+            t.clusters()[1].clone(),
+            0.2,
+        );
+        let cfg = FaultConfig::seeded(7)
+            .with_rule(FaultRule::every(
+                InjectionSite::MatrixBuild,
+                2,
+                FaultAction::Error,
+            ))
+            .with_rule(FaultRule::every(
+                InjectionSite::Evaluate,
+                3,
+                FaultAction::Error,
+            ));
+        // Two identically seeded planes, one per evaluator.
+        let armed = || {
+            let obs = Observability::new(&ObsConfig::default());
+            let plane = FaultPlane::from_config(&cfg, &obs).expect("active policy");
+            let ev = Evaluator::new(&t, EvaluatorConfig::default()).with_faults(
+                plane.arm(InjectionSite::MatrixBuild, 0),
+                plane.arm(InjectionSite::Evaluate, 0),
+            );
+            (ev, plane)
+        };
+        let (one_by_one, plane_a) = armed();
         let mut sequential: Vec<ScoredIncident> = incidents
             .iter()
-            .map(|i| ev.evaluate(i.clone(), &ping))
+            .map(|i| one_by_one.evaluate(i.clone(), &ping))
             .collect();
         sequential.sort_by(|a, b| b.score().total_cmp(&a.score()));
-        assert_eq!(ev.rank(incidents, &ping), sequential);
+        let (ranking, plane_b) = armed();
+        assert_eq!(ranking.rank(incidents, &ping), sequential);
+        assert_eq!(plane_a.ledger().len(), 12 / 2 + 12 / 3);
+        assert_eq!(plane_a.ledger(), plane_b.ledger());
     }
 
     #[test]

@@ -19,7 +19,7 @@ use skynet_model::PingLog;
 use skynet_model::{
     AlertKind, LocId, LocationInterner, LocationLevel, LocationPath, PingSample, SimTime,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// A dense src × dst loss matrix at one location granularity.
@@ -419,19 +419,23 @@ impl SlidingMatrix {
 /// Cache entries remember the log length they were built at: a streaming
 /// worker's log grows between drains, so a same-window lookup over a grown
 /// log is a *miss* (the cached matrix may be missing fresh samples) and
-/// rebuilds via the per-level [`SlidingMatrix`] — usually an O(delta)
+/// rebuilds via the per-level `SlidingMatrix` — usually an O(delta)
 /// slide rather than a full scan.
 #[derive(Debug, Default)]
 pub struct MatrixMemo {
     map: HashMap<(SimTime, SimTime, LocationLevel), (Arc<ReachabilityMatrix>, usize)>,
     sliders: HashMap<LocationLevel, SlidingMatrix>,
-    /// Keys preloaded by the batch evaluator's parallel prebuild that have
-    /// not yet been claimed by an incident (claim accounting keeps the
-    /// builds/hits stats identical to the sequential prebuild).
-    preloaded: HashSet<(SimTime, SimTime, LocationLevel)>,
     stats: MatrixMemoStats,
-    delta_counter: Option<Counter>,
-    rebuild_counter: Option<Counter>,
+    counters: Option<MemoCounters>,
+}
+
+/// The registry side of [`MatrixMemoStats`], one counter per field.
+#[derive(Debug)]
+struct MemoCounters {
+    builds: Counter,
+    hits: Counter,
+    delta_updates: Counter,
+    rebuilds: Counter,
 }
 
 impl MatrixMemo {
@@ -440,17 +444,27 @@ impl MatrixMemo {
         MatrixMemo::default()
     }
 
-    /// Wires the memo's delta-update/rebuild counters into an
-    /// observability registry.
+    /// Wires the memo's four counters into an observability registry.
     pub fn with_observability(mut self, obs: &Observability) -> Self {
-        self.delta_counter = Some(obs.registry().counter(
-            "skynet_matrix_delta_updates_total",
-            "Reachability matrices produced by sliding-window delta updates",
-        ));
-        self.rebuild_counter = Some(obs.registry().counter(
-            "skynet_matrix_rebuilds_total",
-            "Reachability matrices produced by full ping-log window scans",
-        ));
+        let reg = obs.registry();
+        self.counters = Some(MemoCounters {
+            builds: reg.counter(
+                "skynet_matrix_builds_total",
+                "reachability matrices built by the evaluator's zoom stage",
+            ),
+            hits: reg.counter(
+                "skynet_matrix_hits_total",
+                "reachability-matrix memo hits in the evaluator's zoom stage",
+            ),
+            delta_updates: reg.counter(
+                "skynet_matrix_delta_updates_total",
+                "reachability matrices produced by sliding-window delta updates",
+            ),
+            rebuilds: reg.counter(
+                "skynet_matrix_rebuilds_total",
+                "reachability matrices produced by full ping-log window scans",
+            ),
+        });
         self
     }
 
@@ -464,67 +478,38 @@ impl MatrixMemo {
         to: SimTime,
         level: LocationLevel,
     ) -> Arc<ReachabilityMatrix> {
+        // Each stat moves together with its registry counter, if wired.
+        fn bump(stat: &mut u64, counter: Option<&Counter>) {
+            *stat += 1;
+            if let Some(c) = counter {
+                c.inc();
+            }
+        }
+        let counters = self.counters.as_ref();
         let log_len = log.samples().len();
         if let Some((matrix, cached_len)) = self.map.get(&(from, to, level)) {
             if *cached_len == log_len {
-                self.stats.hits += 1;
+                bump(&mut self.stats.hits, counters.map(|c| &c.hits));
                 return Arc::clone(matrix);
             }
         }
-        self.stats.builds += 1;
+        bump(&mut self.stats.builds, counters.map(|c| &c.builds));
         let slider = self
             .sliders
             .entry(level)
             .or_insert_with(|| SlidingMatrix::new(level));
         let (matrix, delta) = slider.advance(log, from, to);
         if delta {
-            self.stats.delta_updates += 1;
-            if let Some(c) = &self.delta_counter {
-                c.inc();
-            }
+            bump(
+                &mut self.stats.delta_updates,
+                counters.map(|c| &c.delta_updates),
+            );
         } else {
-            self.stats.rebuilds += 1;
-            if let Some(c) = &self.rebuild_counter {
-                c.inc();
-            }
+            bump(&mut self.stats.rebuilds, counters.map(|c| &c.rebuilds));
         }
         let matrix = Arc::new(matrix);
         self.map
             .insert((from, to, level), (Arc::clone(&matrix), log_len));
-        matrix
-    }
-
-    /// Installs a matrix built elsewhere (the batch evaluator's parallel
-    /// prebuild) without touching the stats; the first [`MatrixMemo::claim`]
-    /// of the key then counts as its build.
-    pub(crate) fn preload(
-        &mut self,
-        key: (SimTime, SimTime, LocationLevel),
-        matrix: Arc<ReachabilityMatrix>,
-        log_len: usize,
-    ) {
-        self.map.insert(key, (matrix, log_len));
-        self.preloaded.insert(key);
-    }
-
-    /// Fetches a preloaded matrix, counting the first claim of each key as
-    /// a (full-scan) build and every further claim as a hit — exactly the
-    /// accounting a sequential build loop would produce.
-    pub(crate) fn claim(
-        &mut self,
-        key: (SimTime, SimTime, LocationLevel),
-    ) -> Arc<ReachabilityMatrix> {
-        let (matrix, _) = self.map.get(&key).expect("claimed key was preloaded");
-        let matrix = Arc::clone(matrix);
-        if self.preloaded.remove(&key) {
-            self.stats.builds += 1;
-            self.stats.rebuilds += 1;
-            if let Some(c) = &self.rebuild_counter {
-                c.inc();
-            }
-        } else {
-            self.stats.hits += 1;
-        }
         matrix
     }
 

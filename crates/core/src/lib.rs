@@ -31,9 +31,6 @@
 //! - [`shard`] — region-affine shard routing: every location maps to its
 //!   region's shard in O(1), which is what lets the locate stage be laid
 //!   out over N locators without ever splitting an incident.
-//! - [`par`] — the minimal order-preserving parallel map the evaluator
-//!   ranks incidents on, backed by a persistent [`par::WorkerPool`] (std
-//!   threads; no runtime dependency, no per-batch thread spawning).
 //! - `engine` (crate-private) — the one pipeline state machine (guard →
 //!   preprocess → shard route → N locators) that batch analysis, the
 //!   streaming worker and every serving tenant drive.
@@ -53,10 +50,7 @@
 //! Build a pipeline with [`SkyNet::builder`]; pull the common surface in
 //! one line with `use skynet_core::prelude::*`.
 
-// `deny`, not `forbid`: the worker pool in `par` needs one fenced unsafe
-// block (lifetime erasure of scoped jobs) behind a scoped `allow`; every
-// other module stays unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod engine;
@@ -66,7 +60,6 @@ pub mod faultinject;
 pub mod guard;
 pub mod locator;
 pub mod obs;
-pub mod par;
 pub mod pipeline;
 pub mod preprocess;
 pub mod serve;
@@ -116,6 +109,5 @@ pub mod prelude {
 pub mod internals {
     pub use crate::evaluator::{MatrixMemo, MatrixMemoStats};
     pub use crate::locator::PathLocator;
-    pub use crate::par::{parallel_map, shared_pool, WorkerPool};
     pub use crate::shard::{ShardRouter, FALLBACK_SHARD};
 }

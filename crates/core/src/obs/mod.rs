@@ -9,9 +9,9 @@
 //!   fixed-bucket histograms. Every stage registers its series once at
 //!   construction; the hot path is relaxed atomic increments, lock-free.
 //! - [`trace`] — per-alert stage tracing. The guard assigns each accepted
-//!   alert a dense [`TraceId`](skynet_model::TraceId) and each stage
-//!   records `Copy` [`TraceEvent`]s into a bounded ring, so
-//!   "where did alert X go?" has an answer ([`Observability::explain`]).
+//!   alert a dense [`TraceId`] and each stage records `Copy`
+//!   [`TraceEvent`]s into a bounded ring, so "where did alert X go?" has
+//!   an answer ([`Observability::explain`]).
 //! - [`export`] — Prometheus text, JSON and human-table renderings of one
 //!   consistent [`RegistrySnapshot`], surfaced uniformly through the
 //!   [`Exporter`] trait on every handle that owns a registry.

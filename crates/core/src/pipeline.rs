@@ -417,17 +417,6 @@ impl SkyNetBuilder {
         let obs = self
             .observability
             .unwrap_or_else(|| Observability::new(&self.cfg.obs));
-        // Warm the process-wide worker pool here (rather than lazily on the
-        // first ranking) and expose its size: the first analyze call then
-        // pays no thread-spawn cost, and dashboards can see how wide the
-        // evaluator fans out.
-        let pool = crate::par::shared_pool();
-        obs.registry()
-            .gauge(
-                "skynet_pool_threads",
-                "persistent worker-pool threads shared by all parallel stages",
-            )
-            .set(pool.threads() as f64);
         SkyNet {
             topo: self.topo,
             cfg: self.cfg,
@@ -658,33 +647,15 @@ impl SkyNet {
                 sop_plans.push((incident.id, plan));
             }
         }
-        let reg = self.obs.registry();
-        reg.counter(
-            "skynet_incidents_completed_total",
-            "incidents completed by the locator",
-        )
-        .add(incidents.len() as u64);
-        let (scored, memo) = evaluator.rank_memoized(incidents, ping);
-        reg.counter(
-            "skynet_matrix_builds_total",
-            "reachability matrices built by the evaluator's zoom stage",
-        )
-        .add(memo.builds);
-        reg.counter(
-            "skynet_matrix_hits_total",
-            "reachability-matrix memo hits in the evaluator's zoom stage",
-        )
-        .add(memo.hits);
-        reg.counter(
-            "skynet_matrix_delta_updates_total",
-            "reachability matrices produced by sliding-window delta updates",
-        )
-        .add(memo.delta_updates);
-        reg.counter(
-            "skynet_matrix_rebuilds_total",
-            "reachability matrices rebuilt from scratch by the memo",
-        )
-        .add(memo.rebuilds);
+        self.obs
+            .registry()
+            .counter(
+                "skynet_incidents_completed_total",
+                "incidents completed by the locator",
+            )
+            .add(incidents.len() as u64);
+        let mut memo = MatrixMemo::new().with_observability(&self.obs);
+        let scored = evaluator.rank_with(incidents, ping, &mut memo);
         let tracer = self.obs.tracer();
         if tracer.is_enabled() {
             for s in &scored {

@@ -29,9 +29,9 @@
 //! behavior for single-tenant logs and is a strict upper bound otherwise.
 //!
 //! Under the service this writer never syncs per append: the group
-//! committer ([`super::service`]) batches pre-encoded frames from every
-//! tenant through [`WalWriter::write_frame`] and amortizes one fsync per
-//! batch via [`WalWriter::apply_fsync_policy`].
+//! committer (`super::service`) batches pre-encoded frames from every
+//! tenant through `WalWriter::write_frame` and amortizes one fsync per
+//! batch via `WalWriter::apply_fsync_policy`.
 
 use super::{ServeConfig, ServeError};
 use crate::obs::{Counter, Observability};

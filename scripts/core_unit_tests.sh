@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Runs skynet-core's unit tests where there is no crate registry.
+# Runs skynet-core's unit tests, then its rustdoc with warnings denied,
+# where there is no crate registry.
 #
 # crates/core's own manifest cannot build offline (its dev-dependencies
 # include proptest), so this writes a throw-away manifest over
@@ -55,3 +56,5 @@ cd "$dir"
 # The config's [patch] paths resolve against perf/ (the parent of the
 # config file's directory), so the repo can be anywhere.
 cargo test --release --config "$repo/perf/offline/config.toml" "$@"
+# Broken and private intra-doc links are errors (the `docs` CI job's rule).
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --config "$repo/perf/offline/config.toml"
