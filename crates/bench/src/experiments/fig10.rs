@@ -237,13 +237,21 @@ mod tests {
         let total_all: usize = r.monthly.iter().map(|x| x.1).sum();
         let total_severe: usize = r.monthly.iter().map(|x| x.2).sum();
         assert!(total_severe < total_all);
-        // 10c: both reductions beat 50% at test scale (paper reports >80%
-        // at full scale; the small corpus has milder floods).
+        // 10c: at test scale the manual times are bimodal (430–610 s when
+        // the root-cause alert sits in a small flood, 1,800–4,900 s
+        // otherwise) and the median of a dozen episodes lands in either
+        // mode by draw: over 17 corpus seeds its reduction reads
+        // 0.435–0.475 (5 seeds, this one included) or 0.722–0.837 (12);
+        // EXPERIMENTS.md "Fig. 10c at test scale". The upper quartile and
+        // the maximum are in the long mode at every seed and beat 50%
+        // (0.65–0.79, 0.60–0.72); the paper's >80% is the full scale's.
         assert!(
-            r.median_reduction() > 0.5,
+            r.median_reduction() > 0.4,
             "median reduction {}",
             r.median_reduction()
         );
+        let q3_reduction = 1.0 - r.assisted.q3 / r.manual.q3;
+        assert!(q3_reduction > 0.5, "q3 reduction {q3_reduction}");
         assert!(
             r.max_reduction() > 0.5,
             "max reduction {}",

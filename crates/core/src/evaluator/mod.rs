@@ -677,7 +677,7 @@ mod tests {
         // Window starts, and the (slides, rebuilds, hits) they take: in
         // time order over an empty log, then forward (the memo slides),
         // backward (it rebuilds) and repeated (it hits) over the lossy one.
-        let inputs: [(PingLog, [u64; 9], (u64, u64, u64)); 2] = [
+        let inputs = [
             (
                 PingLog::new(),
                 [0, 7, 14, 21, 28, 35, 42, 49, 56],

@@ -327,17 +327,17 @@ impl SlidingMatrix {
         let delta = if forward {
             // Samples leaving at the front (only those actually folded).
             for idx in self.lo..lo.min(self.hi) {
-                self.remove_sample(&samples[idx], idx);
+                self.remove_sample(samples, idx);
             }
             // Samples entering at the tail.
             for idx in self.hi.max(lo)..hi {
-                self.add_sample(&samples[idx], idx);
+                self.add_sample(samples, idx);
             }
             true
         } else {
             self.cells.clear();
             for idx in lo..hi {
-                self.add_sample(&samples[idx], idx);
+                self.add_sample(samples, idx);
             }
             false
         };
@@ -359,15 +359,15 @@ impl SlidingMatrix {
         (src, dst)
     }
 
-    fn add_sample(&mut self, s: &PingSample, idx: usize) {
-        let key = self.cell_key(s);
+    fn add_sample(&mut self, samples: &[PingSample], idx: usize) {
+        let key = self.cell_key(&samples[idx]);
         let cell = self.cells.entry(key).or_default();
         cell.idxs.push_back(idx);
         cell.dirty = true;
     }
 
-    fn remove_sample(&mut self, s: &PingSample, idx: usize) {
-        let key = self.cell_key(s);
+    fn remove_sample(&mut self, samples: &[PingSample], idx: usize) {
+        let key = self.cell_key(&samples[idx]);
         let cell = self.cells.get_mut(&key).expect("removing a folded sample");
         let front = cell.idxs.pop_front();
         debug_assert_eq!(front, Some(idx), "window slides evict in index order");

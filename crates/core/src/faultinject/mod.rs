@@ -203,7 +203,7 @@ impl FaultRule {
 ///
 /// Disabled by default; [`FaultConfig::default`] injects nothing and the
 /// pipeline skips plane construction entirely.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub struct FaultConfig {
     /// Master switch. `false` (the default) compiles every site check down
@@ -214,16 +214,6 @@ pub struct FaultConfig {
     pub seed: u64,
     /// The rules. A site with no rules is never armed.
     pub rules: Vec<FaultRule>,
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        FaultConfig {
-            enabled: false,
-            seed: 0,
-            rules: Vec::new(),
-        }
-    }
 }
 
 impl FaultConfig {
@@ -397,6 +387,9 @@ fn mix(seed: u64, site: InjectionSite, lane: u32) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Decision state per (site, lane), shared with the arms handed out for it.
+type ArmTable = HashMap<(InjectionSite, u32), Arc<Mutex<ArmState>>>;
+
 /// The shared fault-injection runtime for one pipeline run: canonical
 /// decision state per (site, lane), the fired-fault ledger, per-site
 /// metrics and the trace hook.
@@ -404,7 +397,7 @@ fn mix(seed: u64, site: InjectionSite, lane: u32) -> u64 {
 pub struct FaultPlane {
     seed: u64,
     rules: Vec<FaultRule>,
-    arms: Mutex<HashMap<(InjectionSite, u32), Arc<Mutex<ArmState>>>>,
+    arms: Mutex<ArmTable>,
     ledger: Mutex<Vec<InjectedFault>>,
     counters: [Counter; InjectionSite::ALL.len()],
     tracer: StageTracer,
@@ -576,6 +569,8 @@ impl FaultArm {
         for rule in self.plane.rules.iter().filter(|r| r.site == self.site) {
             let hit = match rule.trigger {
                 FaultTrigger::Probability(p) => st.rng.gen_bool(p.clamp(0.0, 1.0)),
+                // `is_multiple_of` is newer than the crate's `rust-version`.
+                #[allow(clippy::manual_is_multiple_of)]
                 FaultTrigger::Every(n) => n > 0 && checks % n == 0,
                 FaultTrigger::Once(n) => checks == n,
                 FaultTrigger::After(n) => checks > n,

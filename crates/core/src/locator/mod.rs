@@ -1272,6 +1272,9 @@ impl Locator {
     pub fn snapshot_state(&self) -> LocatorState {
         let node_state = |loc: LocId, node: &Node| {
             let mut alerts: Vec<StructuredAlert> = node.alerts.values().cloned().collect();
+            // Left as `sort_by`: the by-key form the lint asks for read +7 %
+            // on `analyze_s`, 16 pairs of 16 (EXPERIMENTS.md, last section).
+            #[allow(clippy::unnecessary_sort_by)]
             alerts.sort_by(|a, b| a.ty.cmp(&b.ty));
             NodeState {
                 loc: loc.index() as u32,
@@ -1926,8 +1929,7 @@ mod tests {
         }
     }
 
-    /// A small LCG: seeded, hand-rolled streams for the differential tests
-    /// (plain `#[test]`s, so they also run where proptest is unavailable).
+    /// A small LCG: seeded, hand-rolled streams for the differential tests.
     struct Lcg(u64);
 
     impl Lcg {

@@ -111,16 +111,11 @@ fn poll_loop(inner: &Arc<ServiceInner>, listener: &TcpListener) {
     let mut chunk = [0u8; 8192];
     while !inner.is_shutting_down() {
         let mut active = false;
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_ok() {
-                        let _ = stream.set_nodelay(true);
-                        conns.push(Conn::new(stream));
-                        active = true;
-                    }
-                }
-                Err(_) => break,
+        while let Ok((stream, _)) = listener.accept() {
+            if stream.set_nonblocking(true).is_ok() {
+                let _ = stream.set_nodelay(true);
+                conns.push(Conn::new(stream));
+                active = true;
             }
         }
         for conn in &mut conns {

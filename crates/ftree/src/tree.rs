@@ -534,129 +534,150 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use super::*;
-    use proptest::prelude::*;
 
-    fn word_strategy() -> impl Strategy<Value = String> {
-        prop::sample::select(vec![
-            "interface",
-            "bgp",
-            "peer",
-            "down",
-            "up",
-            "state",
-            "error",
-            "link",
-            "port",
-            "flap",
-            "session",
-            "memory",
-            "crc",
-        ])
-        .prop_map(str::to_string)
-    }
+    /// Each property runs these 256 seeded cases.
+    const SEEDS: std::ops::Range<u64> = 0..256;
 
-    fn line_strategy() -> impl Strategy<Value = String> {
-        (
-            prop::collection::vec(word_strategy(), 1..6),
-            prop::collection::vec(0u32..1000, 0..3),
-        )
-            .prop_map(|(words, nums)| {
-                let mut parts = words;
-                for n in nums {
-                    parts.push(n.to_string());
-                }
-                parts.join(" ")
-            })
-    }
+    const WORDS: [&str; 13] = [
+        "interface",
+        "bgp",
+        "peer",
+        "down",
+        "up",
+        "state",
+        "error",
+        "link",
+        "port",
+        "flap",
+        "session",
+        "memory",
+        "crc",
+    ];
 
-    proptest! {
-        /// Every line of a min_support=1 corpus must classify to some
-        /// template, and re-matching is deterministic.
-        #[test]
-        fn corpus_lines_always_match_with_support_one(
-            lines in prop::collection::vec(line_strategy(), 1..40)
-        ) {
-            let mut b = FtTreeBuilder::new(1, 8);
-            for l in &lines {
-                b.add_line(l);
-            }
-            let t = b.build();
-            for l in &lines {
-                let m1 = t.match_message(l);
-                prop_assert!(m1.is_some(), "corpus line failed to match: {l}");
-                prop_assert_eq!(m1, t.match_message(l));
-            }
+    /// A small LCG: one seeded, replayable stream per case.
+    struct Lcg(u64);
+
+    impl Lcg {
+        /// Uniform in `lo..hi`.
+        fn range(&mut self, lo: usize, hi: usize) -> usize {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            lo + (self.0 >> 33) as usize % (hi - lo)
         }
 
-        /// Template supports never exceed the corpus size and are monotone
-        /// along prefix containment.
-        #[test]
-        fn supports_are_bounded_and_monotone(
-            lines in prop::collection::vec(line_strategy(), 1..40)
-        ) {
-            let n = lines.len() as u32;
-            let mut b = FtTreeBuilder::new(1, 8);
-            for l in &lines {
-                b.add_line(l);
+        /// One to five words, then zero to two numbers below 1000.
+        fn line(&mut self) -> String {
+            let mut parts: Vec<String> = (0..self.range(1, 6))
+                .map(|_| WORDS[self.range(0, WORDS.len())].to_string())
+                .collect();
+            for _ in 0..self.range(0, 3) {
+                parts.push(self.range(0, 1000).to_string());
             }
-            let t = b.build();
+            parts.join(" ")
+        }
+
+        /// `lo..hi` lines.
+        fn lines(&mut self, lo: usize, hi: usize) -> Vec<String> {
+            (0..self.range(lo, hi)).map(|_| self.line()).collect()
+        }
+    }
+
+    /// Runs `case` once per seed; a failing case prints its seed.
+    fn for_each_seed(mut case: impl FnMut(&mut Lcg)) {
+        struct Running(u64);
+        impl Drop for Running {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    eprintln!("property failed at seed {} (= case index)", self.0);
+                }
+            }
+        }
+        for seed in SEEDS {
+            let _running = Running(seed);
+            case(&mut Lcg(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5eed));
+        }
+    }
+
+    fn tree_of(lines: &[String], min_support: u32, max_depth: usize) -> FtTree {
+        let mut b = FtTreeBuilder::new(min_support, max_depth);
+        for l in lines {
+            b.add_line(l);
+        }
+        b.build()
+    }
+
+    /// Every line of a min_support=1 corpus must classify to some
+    /// template, and re-matching is deterministic.
+    #[test]
+    fn corpus_lines_always_match_with_support_one() {
+        for_each_seed(|rng| {
+            let lines = rng.lines(1, 40);
+            let t = tree_of(&lines, 1, 8);
+            for l in &lines {
+                let m1 = t.match_message(l);
+                assert!(m1.is_some(), "corpus line failed to match: {l}");
+                assert_eq!(m1, t.match_message(l));
+            }
+        });
+    }
+
+    /// Template supports never exceed the corpus size and are monotone
+    /// along prefix containment.
+    #[test]
+    fn supports_are_bounded_and_monotone() {
+        for_each_seed(|rng| {
+            let lines = rng.lines(1, 40);
+            let n = lines.len() as u32;
+            let t = tree_of(&lines, 1, 8);
             for tp in t.templates() {
-                prop_assert!(tp.support <= n);
+                assert!(tp.support <= n);
                 for other in t.templates() {
                     // If `other` extends `tp` by one word, its support is ≤.
                     if other.words.len() == tp.words.len() + 1
                         && other.words[..tp.words.len()] == tp.words[..]
                     {
-                        prop_assert!(other.support <= tp.support);
+                        assert!(other.support <= tp.support);
                     }
                 }
             }
-        }
+        });
+    }
 
-        /// Differential: the symbol-interned matcher must agree with the
-        /// String-keyed oracle on every corpus line and every probe line —
-        /// including probes full of words the tree has never seen — across
-        /// support/depth settings.
-        #[test]
-        fn symbol_matcher_equals_string_oracle(
-            corpus in prop::collection::vec(line_strategy(), 1..50),
-            probes in prop::collection::vec(line_strategy(), 0..50),
-            min_support in 1u32..4,
-            max_depth in 1usize..10,
-        ) {
-            let mut b = FtTreeBuilder::new(min_support, max_depth);
-            for l in &corpus {
-                b.add_line(l);
-            }
-            let t = b.build();
+    /// Differential: the symbol-interned matcher must agree with the
+    /// String-keyed oracle on every corpus line and every probe line —
+    /// including probes full of words the tree has never seen — across
+    /// support/depth settings.
+    #[test]
+    fn symbol_matcher_equals_string_oracle() {
+        for_each_seed(|rng| {
+            let corpus = rng.lines(1, 50);
+            let probes = rng.lines(0, 50);
+            let t = tree_of(&corpus, rng.range(1, 4) as u32, rng.range(1, 10));
             let mut scratch = MatchScratch::new();
             for l in corpus.iter().chain(probes.iter()) {
-                prop_assert_eq!(
+                assert_eq!(
                     t.match_message(l),
                     t.match_message_with(l, &mut scratch),
-                    "oracle/symbol divergence on {:?}",
-                    l
+                    "oracle/symbol divergence on {l:?}"
                 );
             }
-        }
+        });
+    }
 
-        /// Variable scrubbing: templates never contain pure numbers.
-        #[test]
-        fn templates_contain_no_numbers(
-            lines in prop::collection::vec(line_strategy(), 1..40)
-        ) {
-            let mut b = FtTreeBuilder::new(1, 8);
-            for l in &lines {
-                b.add_line(l);
-            }
-            let t = b.build();
+    /// Variable scrubbing: templates never contain pure numbers.
+    #[test]
+    fn templates_contain_no_numbers() {
+        for_each_seed(|rng| {
+            let t = tree_of(&rng.lines(1, 40), 1, 8);
             for tp in t.templates() {
                 for w in &tp.words {
-                    prop_assert!(!w.bytes().all(|c| c.is_ascii_digit()));
+                    assert!(!w.bytes().all(|c| c.is_ascii_digit()));
                 }
             }
-        }
+        });
     }
 }

@@ -430,91 +430,144 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use super::*;
-    use proptest::prelude::*;
 
-    fn segment_strategy() -> impl Strategy<Value = String> {
-        "[A-Za-z][A-Za-z0-9 _-]{0,8}"
-            .prop_map(|s| s.trim().to_string())
-            .prop_filter("non-empty after trim", |s| !s.is_empty())
-    }
+    /// Each property runs these 256 seeded cases.
+    const SEEDS: std::ops::Range<u64> = 0..256;
 
-    fn path_strategy() -> impl Strategy<Value = LocationPath> {
-        prop::collection::vec(segment_strategy(), 0..=6).prop_map(LocationPath::new)
-    }
+    /// A small LCG: one seeded, replayable stream per case.
+    struct Lcg(u64);
 
-    proptest! {
-        /// Display → parse is the identity.
-        #[test]
-        fn display_parse_round_trip(path in path_strategy()) {
-            let parsed = LocationPath::parse(&path.to_string()).unwrap();
-            prop_assert_eq!(parsed, path);
+    impl Lcg {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (self.0 >> 33) as usize % n
         }
 
-        /// Containment is a partial order: reflexive, antisymmetric (on
-        /// equal depth), transitive.
-        #[test]
-        fn containment_laws(a in path_strategy(), b in path_strategy(), c in path_strategy()) {
-            prop_assert!(a.contains(&a));
+        /// `[A-Za-z][A-Za-z0-9 _-]{0,8}`, trailing spaces trimmed.
+        fn segment(&mut self) -> String {
+            const TAIL: &[u8] =
+                b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789 _-";
+            let mut s = String::from(TAIL[self.below(52)] as char);
+            for _ in 0..self.below(9) {
+                s.push(TAIL[self.below(TAIL.len())] as char);
+            }
+            s.trim().to_string()
+        }
+
+        /// Zero to six segments.
+        fn path(&mut self) -> LocationPath {
+            LocationPath::new((0..self.below(7)).map(|_| self.segment()))
+        }
+    }
+
+    /// Runs `case` once per seed; a failing case prints its seed.
+    fn for_each_seed(mut case: impl FnMut(&mut Lcg)) {
+        struct Running(u64);
+        impl Drop for Running {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    eprintln!("property failed at seed {} (= case index)", self.0);
+                }
+            }
+        }
+        for seed in SEEDS {
+            let _running = Running(seed);
+            case(&mut Lcg(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5eed));
+        }
+    }
+
+    /// Display → parse is the identity.
+    #[test]
+    fn display_parse_round_trip() {
+        for_each_seed(|rng| {
+            let path = rng.path();
+            let parsed = LocationPath::parse(&path.to_string()).unwrap();
+            assert_eq!(parsed, path);
+        });
+    }
+
+    /// Containment is a partial order: reflexive, antisymmetric (on
+    /// equal depth), transitive.
+    #[test]
+    fn containment_laws() {
+        for_each_seed(|rng| {
+            let (a, b, c) = (rng.path(), rng.path(), rng.path());
+            assert!(a.contains(&a));
             if a.contains(&b) && b.contains(&a) {
-                prop_assert_eq!(&a, &b);
+                assert_eq!(&a, &b);
             }
             if a.contains(&b) && b.contains(&c) {
-                prop_assert!(a.contains(&c));
+                assert!(a.contains(&c));
             }
-        }
+        });
+    }
 
-        /// The common ancestor is the deepest path containing both.
-        #[test]
-        fn common_ancestor_is_greatest_lower_bound(a in path_strategy(), b in path_strategy()) {
+    /// The common ancestor is the deepest path containing both.
+    #[test]
+    fn common_ancestor_is_greatest_lower_bound() {
+        for_each_seed(|rng| {
+            let (a, b) = (rng.path(), rng.path());
             let ca = a.common_ancestor(&b);
-            prop_assert!(ca.contains(&a));
-            prop_assert!(ca.contains(&b));
+            assert!(ca.contains(&a));
+            assert!(ca.contains(&b));
             // One level deeper on either side no longer contains both.
             if ca.depth() < a.depth() {
                 let deeper = a.truncate_at(
                     LocationLevel::from_depth(ca.depth() + 1).unwrap_or(LocationLevel::Device),
                 );
                 if deeper.depth() == ca.depth() + 1 {
-                    prop_assert!(!(deeper.contains(&a) && deeper.contains(&b)));
+                    assert!(!(deeper.contains(&a) && deeper.contains(&b)));
                 }
             }
             // Commutative.
-            prop_assert_eq!(ca, b.common_ancestor(&a));
-        }
+            assert_eq!(ca, b.common_ancestor(&a));
+        });
+    }
 
-        /// Parent reduces depth by exactly one (root is a fixed point), and
-        /// every prefix contains the path.
-        #[test]
-        fn parent_and_prefix_laws(path in path_strategy()) {
+    /// Parent reduces depth by exactly one (root is a fixed point), and
+    /// every prefix contains the path.
+    #[test]
+    fn parent_and_prefix_laws() {
+        for_each_seed(|rng| {
+            let path = rng.path();
             let parent = path.parent();
             if path.is_root() {
-                prop_assert!(parent.is_root());
+                assert!(parent.is_root());
             } else {
-                prop_assert_eq!(parent.depth(), path.depth() - 1);
-                prop_assert!(parent.contains(&path));
+                assert_eq!(parent.depth(), path.depth() - 1);
+                assert!(parent.contains(&path));
             }
             for prefix in path.prefixes() {
-                prop_assert!(prefix.contains(&path));
+                assert!(prefix.contains(&path));
             }
-            prop_assert_eq!(path.prefixes().count(), path.depth());
-        }
+            assert_eq!(path.prefixes().count(), path.depth());
+        });
+    }
 
-        /// Ordering groups subtrees: a parent sorts before its children.
-        #[test]
-        fn parent_sorts_before_children(path in path_strategy()) {
+    /// Ordering groups subtrees: a parent sorts before its children.
+    #[test]
+    fn parent_sorts_before_children() {
+        for_each_seed(|rng| {
+            let path = rng.path();
             if !path.is_root() {
-                prop_assert!(path.parent() < path);
+                assert!(path.parent() < path);
             }
-        }
+        });
+    }
 
-        /// Serde round-trips through JSON.
-        #[test]
-        fn serde_round_trip(path in path_strategy()) {
+    /// Serde round-trips through JSON.
+    #[test]
+    fn serde_round_trip() {
+        for_each_seed(|rng| {
+            let path = rng.path();
             let json = serde_json::to_string(&path).unwrap();
             let back: LocationPath = serde_json::from_str(&json).unwrap();
-            prop_assert_eq!(back, path);
-        }
+            assert_eq!(back, path);
+        });
     }
 }

@@ -269,89 +269,120 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod properties {
     use super::*;
     use crate::generator::{generate, GeneratorConfig};
-    use proptest::prelude::*;
+    use crate::net::Topology;
+    use skynet_model::LocationPath;
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+    /// Each property runs these 64 seeded cases.
+    const SEEDS: std::ops::Range<u64> = 0..64;
 
-        /// Every routed path is link-consistent: consecutive devices are
-        /// joined by the listed links, endpoints match the clusters, and
-        /// no device repeats (loop-free).
-        #[test]
-        fn routes_are_link_consistent_and_loop_free(
-            src_idx in 0usize..24,
-            dst_idx in 0usize..24,
-            hash in any::<u64>(),
-        ) {
-            let topo = generate(&GeneratorConfig::small());
-            let clusters = topo.clusters();
-            let src = &clusters[src_idx % clusters.len()];
-            let dst = &clusters[dst_idx % clusters.len()];
-            let route = route_between_clusters(&topo, src, dst, hash)
+    /// A small LCG: one seeded, replayable stream per case.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            self.0 >> 33
+        }
+
+        /// Any ECMP hash.
+        fn hash(&mut self) -> u64 {
+            (self.next() << 33) ^ (self.next() << 16) ^ self.next()
+        }
+
+        fn cluster<'a>(&mut self, clusters: &'a [LocationPath]) -> &'a LocationPath {
+            &clusters[self.next() as usize % clusters.len()]
+        }
+    }
+
+    /// Runs `case` once per seed over the small topology; a failing case
+    /// prints its seed.
+    fn for_each_seed(mut case: impl FnMut(&Topology, &mut Lcg)) {
+        struct Running(u64);
+        impl Drop for Running {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    eprintln!("property failed at seed {} (= case index)", self.0);
+                }
+            }
+        }
+        let topo = generate(&GeneratorConfig::small());
+        for seed in SEEDS {
+            let _running = Running(seed);
+            case(
+                &topo,
+                &mut Lcg(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x5eed),
+            );
+        }
+    }
+
+    /// Every routed path is link-consistent: consecutive devices are
+    /// joined by the listed links, endpoints match the clusters, and
+    /// no device repeats (loop-free).
+    #[test]
+    fn routes_are_link_consistent_and_loop_free() {
+        for_each_seed(|topo, rng| {
+            let src = rng.cluster(topo.clusters());
+            let dst = rng.cluster(topo.clusters());
+            let route = route_between_clusters(topo, src, dst, rng.hash())
                 .expect("generated topologies are fully routable");
             // Endpoints live in the right clusters.
             let first = topo.device(route.devices[0]);
-            prop_assert!(src.contains(&first.location));
+            assert!(src.contains(&first.location));
             let last = topo.device(*route.devices.last().unwrap());
-            prop_assert!(dst.contains(&last.location));
+            assert!(dst.contains(&last.location));
             // Links join consecutive devices.
-            prop_assert_eq!(route.links.len() + 1, route.devices.len());
+            assert_eq!(route.links.len() + 1, route.devices.len());
             for (w, &link) in route.devices.windows(2).zip(&route.links) {
-                prop_assert_eq!(topo.link_between(w[0], w[1]), Some(link));
+                assert_eq!(topo.link_between(w[0], w[1]), Some(link));
             }
             // Loop-free.
             let mut seen = route.devices.clone();
             seen.sort_unstable();
             seen.dedup();
-            prop_assert_eq!(seen.len(), route.devices.len());
-        }
+            assert_eq!(seen.len(), route.devices.len());
+        });
+    }
 
-        /// Internet routes end at an entry link of the source's region.
-        #[test]
-        fn internet_routes_exit_through_own_region(
-            src_idx in 0usize..24,
-            hash in any::<u64>(),
-        ) {
-            let topo = generate(&GeneratorConfig::small());
-            let clusters = topo.clusters();
-            let src = &clusters[src_idx % clusters.len()];
-            let route = route_to_internet(&topo, src, hash).expect("routable");
+    /// Internet routes end at an entry link of the source's region.
+    #[test]
+    fn internet_routes_exit_through_own_region() {
+        for_each_seed(|topo, rng| {
+            let src = rng.cluster(topo.clusters());
+            let route = route_to_internet(topo, src, rng.hash()).expect("routable");
             let entry = *route.links.last().unwrap();
-            prop_assert!(topo.link(entry).is_internet_entry());
+            assert!(topo.link(entry).is_internet_entry());
             let region = src.truncate_at(skynet_model::LocationLevel::Region);
-            prop_assert!(topo.internet_entries(&region).contains(&entry));
+            assert!(topo.internet_entries(&region).contains(&entry));
             // All transit devices stay inside the region.
             for &d in &route.devices {
-                prop_assert!(region.contains(&topo.device(d).location));
+                assert!(region.contains(&topo.device(d).location));
             }
-        }
+        });
+    }
 
-        /// ECMP is deterministic in the hash and only ever varies *within*
-        /// aggregation groups: the sequence of visited location prefixes is
-        /// hash-independent.
-        #[test]
-        fn ecmp_varies_only_group_members(
-            src_idx in 0usize..24,
-            dst_idx in 0usize..24,
-            h1 in any::<u64>(),
-            h2 in any::<u64>(),
-        ) {
-            let topo = generate(&GeneratorConfig::small());
-            let clusters = topo.clusters();
-            let src = &clusters[src_idx % clusters.len()];
-            let dst = &clusters[dst_idx % clusters.len()];
-            let r1 = route_between_clusters(&topo, src, dst, h1).unwrap();
-            let r2 = route_between_clusters(&topo, src, dst, h2).unwrap();
+    /// ECMP is deterministic in the hash and only ever varies *within*
+    /// aggregation groups: the sequence of visited location prefixes is
+    /// hash-independent.
+    #[test]
+    fn ecmp_varies_only_group_members() {
+        for_each_seed(|topo, rng| {
+            let src = rng.cluster(topo.clusters());
+            let dst = rng.cluster(topo.clusters());
+            let r1 = route_between_clusters(topo, src, dst, rng.hash()).unwrap();
+            let r2 = route_between_clusters(topo, src, dst, rng.hash()).unwrap();
             let shape = |r: &RoutePath| -> Vec<String> {
                 r.devices
                     .iter()
                     .map(|&d| topo.device(d).attribution().to_string())
                     .collect()
             };
-            prop_assert_eq!(shape(&r1), shape(&r2), "hash changes members, not shape");
-        }
+            assert_eq!(shape(&r1), shape(&r2), "hash changes members, not shape");
+        });
     }
 }

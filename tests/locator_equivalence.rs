@@ -4,64 +4,15 @@
 //! every counting/quorum/connectivity configuration, including
 //! off-topology locations that force dynamic interning.
 
-use proptest::prelude::*;
+mod common;
+
+use common::{for_each_seed, locations, sorted_stream, structured, topo};
 use skynet::core::locator::{CountingMode, Locator, LocatorConfig, PathLocator};
-use skynet::model::{
-    AlertKind, DataSource, LocationPath, RawAlert, SimDuration, SimTime, StructuredAlert,
-};
-use skynet::topology::{generate, GeneratorConfig, Topology};
+use skynet::model::{AlertKind, DataSource, RawAlert, SimDuration, SimTime, StructuredAlert};
+use skynet::topology::Topology;
 use std::sync::Arc;
 
-fn topo() -> Arc<Topology> {
-    Arc::new(generate(&GeneratorConfig::small()))
-}
-
-fn kind_strategy() -> impl Strategy<Value = AlertKind> {
-    prop::sample::select(vec![
-        AlertKind::PacketLossIcmp,
-        AlertKind::DeviceInaccessible,
-        AlertKind::LinkDown,
-        AlertKind::PortDown,
-        AlertKind::TrafficCongestion,
-        AlertKind::HardwareError,
-        AlertKind::BgpPeerDown,
-        AlertKind::TrafficSurge,
-    ])
-}
-
-/// On-topology prefixes plus off-topology probe children (the latter are
-/// absent from the topology interner, so the arena locator must intern
-/// them on the fly exactly where the path-keyed oracle just hashes them).
-fn location_strategy(topo: &Arc<Topology>) -> impl Strategy<Value = LocationPath> {
-    let mut locations: Vec<LocationPath> = topo
-        .devices()
-        .iter()
-        .flat_map(|d| d.location.prefixes().collect::<Vec<_>>())
-        .collect();
-    locations.sort();
-    locations.dedup();
-    let probes: Vec<LocationPath> = topo
-        .clusters()
-        .iter()
-        .enumerate()
-        .map(|(i, c)| c.child(&format!("probe-{i}")))
-        .collect();
-    locations.extend(probes);
-    prop::sample::select(locations)
-}
-
-fn alert_strategy(topo: &Arc<Topology>) -> impl Strategy<Value = StructuredAlert> {
-    (
-        prop::sample::select(DataSource::ALL.to_vec()),
-        kind_strategy(),
-        0u64..2_400_000, // 40 minutes of millis: spans node + incident timeouts
-        location_strategy(topo),
-    )
-        .prop_map(|(source, kind, t, location)| {
-            let raw = RawAlert::known(source, SimTime::from_millis(t), location, kind);
-            StructuredAlert::from_raw(&raw, kind)
-        })
-}
+const SEEDS: std::ops::Range<u64> = 0..48;
 
 fn configs() -> Vec<LocatorConfig> {
     vec![
@@ -91,23 +42,24 @@ fn assert_equivalent(topo: &Arc<Topology>, cfg: &LocatorConfig, flood: &[Structu
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn arena_locator_matches_path_keyed_oracle(
-        flood in {
-            let t = topo();
-            prop::collection::vec(alert_strategy(&t), 1..250)
-        }
-    ) {
-        let t = topo();
-        let mut flood = flood;
-        flood.sort_by_key(|a| a.first_seen);
+#[test]
+fn arena_locator_matches_path_keyed_oracle() {
+    let t = topo();
+    // On-topology prefixes plus off-topology probe children (the latter
+    // are absent from the topology interner, so the arena locator must
+    // intern them on the fly exactly where the path-keyed oracle just
+    // hashes them).
+    let mut locations = locations(&t);
+    for (i, cluster) in t.clusters().iter().enumerate() {
+        locations.push(cluster.child(format!("probe-{i}")));
+    }
+    for_each_seed(SEEDS, |rng| {
+        // 40 minutes: spans node + incident timeouts.
+        let flood = structured(&sorted_stream(rng, &locations, 1..250, 40 * 60 * 1000));
         for cfg in configs() {
             assert_equivalent(&t, &cfg, &flood);
         }
-    }
+    });
 }
 
 /// A deterministic flood large enough to open, grow, absorb and expire
@@ -145,7 +97,7 @@ fn off_topology_probes_are_identical_across_implementations() {
     let cluster = t.clusters()[0].clone();
     let mut flood = Vec::new();
     for step in 0..40u64 {
-        let loc = cluster.child(&format!("probe-{}", step % 5));
+        let loc = cluster.child(format!("probe-{}", step % 5));
         let raw = RawAlert::known(
             DataSource::Ping,
             SimTime::from_secs(step * 15),

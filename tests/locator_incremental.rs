@@ -14,83 +14,26 @@
 //!
 //! [`AnalysisReport`]: skynet::core::AnalysisReport
 
-use proptest::prelude::*;
+mod common;
+
+use common::{
+    degraded, for_each_seed, locations, ping_log, sorted_stream, structured, topo, HALF_HOUR_MS,
+};
 use skynet::core::locator::{Locator, LocatorConfig};
 use skynet::core::{
     FaultAction, FaultConfig, FaultRule, InjectionSite, MaintenanceMode, PipelineConfig, SkyNet,
 };
-use skynet::model::{
-    AlertKind, DataSource, LocationPath, PingLog, RawAlert, SimDuration, SimTime, StructuredAlert,
-};
-use skynet::telemetry::{ChaosConfig, ChaosEngine};
-use skynet::topology::{generate, GeneratorConfig, Topology};
-use std::sync::Arc;
+use skynet::model::{LocationPath, SimDuration, SimTime};
+use skynet::topology::Topology;
 
-fn topo() -> Arc<Topology> {
-    Arc::new(generate(&GeneratorConfig::small()))
-}
+/// Both properties below run these 10 cases.
+const SEEDS: std::ops::Range<u64> = 0..10;
 
-fn kind_strategy() -> impl Strategy<Value = AlertKind> {
-    prop::sample::select(vec![
-        AlertKind::PacketLossIcmp,
-        AlertKind::PacketLossTcp,
-        AlertKind::LatencyJitter,
-        AlertKind::DeviceInaccessible,
-        AlertKind::LinkDown,
-        AlertKind::PortDown,
-        AlertKind::TrafficCongestion,
-        AlertKind::HardwareError,
-        AlertKind::BgpPeerDown,
-    ])
-}
-
-fn location_strategy(topo: &Arc<Topology>) -> impl Strategy<Value = LocationPath> {
-    let mut locations: Vec<LocationPath> = topo
-        .devices()
-        .iter()
-        .flat_map(|d| d.location.prefixes().collect::<Vec<_>>())
-        .collect();
-    locations.sort();
-    locations.dedup();
+/// Every level of the topology plus one off-topology path.
+fn locations_with_phantom(topo: &Topology) -> Vec<LocationPath> {
+    let mut locations = locations(topo);
     locations.push(LocationPath::parse("Chaos|Phantom|Rack-0").unwrap());
-    prop::sample::select(locations)
-}
-
-fn raw_alert_strategy(topo: &Arc<Topology>) -> impl Strategy<Value = RawAlert> {
-    (
-        prop::sample::select(DataSource::ALL.to_vec()),
-        kind_strategy(),
-        0u64..1_800_000, // 30 minutes of millis
-        location_strategy(topo),
-        0.0f64..1.0,
-    )
-        .prop_map(|(source, kind, t, location, magnitude)| {
-            RawAlert::known(source, SimTime::from_millis(t), location, kind)
-                .with_magnitude(magnitude)
-        })
-}
-
-fn sorted_stream(topo: &Arc<Topology>, max: usize) -> impl Strategy<Value = Vec<RawAlert>> {
-    prop::collection::vec(raw_alert_strategy(topo), 0..max).prop_map(|mut v| {
-        v.sort_by_key(|a| a.timestamp);
-        v
-    })
-}
-
-/// Deterministic lossy ping telemetry so the evaluator's reachability
-/// matrices (and therefore the sliding-window delta path) are non-trivial.
-fn ping_log(topo: &Topology) -> PingLog {
-    let mut ping = PingLog::new();
-    let clusters = topo.clusters();
-    for (i, pair) in clusters.windows(2).enumerate() {
-        ping.record(
-            SimTime::from_secs(30 + i as u64 * 60),
-            pair[0].clone(),
-            pair[1].clone(),
-            0.02 * (1 + i % 5) as f64,
-        );
-    }
-    ping
+    locations
 }
 
 /// An armed fault plane touching every stage the refactor moved:
@@ -130,82 +73,53 @@ fn armed_faults(seed: u64) -> FaultConfig {
         ))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// The tentpole guarantee: the incremental hot path is byte-for-byte
-    /// indistinguishable from the rescan oracle through the whole
-    /// pipeline, chaos and armed faults included, at 1 and 4 shards.
-    #[test]
-    fn incremental_report_json_matches_rescan_oracle(
-        alerts in sorted_stream(&topo(), 250),
-        chaos_seed in any::<u64>(),
-        fault_seed in any::<u64>(),
-    ) {
-        let t = topo();
-        // Degrade the feed ONCE so every run replays the same byte stream.
-        let mut chaos = ChaosEngine::new(ChaosConfig {
-            seed: chaos_seed,
-            drop_prob: 0.0,
-            corrupt_syslog_prob: 0.0,
-            off_topology_prob: 0.0,
-            duplicate_prob: 0.2,
-            duplicate_burst: 2,
-            skew_prob: 0.0,
-            shuffle_window: 6,
-            ..ChaosConfig::default()
-        });
-        let degraded = chaos.apply(&alerts);
-        let ping = ping_log(&t);
+/// The tentpole guarantee: the incremental hot path is byte-for-byte
+/// indistinguishable from the rescan oracle through the whole
+/// pipeline, chaos and armed faults included, at 1 and 4 shards.
+#[test]
+fn incremental_report_json_matches_rescan_oracle() {
+    let t = topo();
+    let locations = locations_with_phantom(&t);
+    let ping = ping_log(&t);
+    for_each_seed(SEEDS, |rng| {
+        let alerts = sorted_stream(rng, &locations, 0..250, HALF_HOUR_MS);
+        let degraded = degraded(rng, &alerts);
+        let fault_seed = rng.any();
 
         let run = |shards: usize, maintenance: MaintenanceMode| {
             let mut cfg = PipelineConfig::production().with_faults(armed_faults(fault_seed));
             cfg.streaming.shards = shards;
             cfg.locator = cfg.locator.with_maintenance(maintenance);
-            let report = SkyNet::builder(&t)
-                .config(cfg)
-                .build()
-                .analyze(&degraded, &ping, SimTime::from_mins(60));
+            let report = SkyNet::builder(&t).config(cfg).build().analyze(
+                &degraded,
+                &ping,
+                SimTime::from_mins(60),
+            );
             serde_json::to_string(&report).expect("report serializes")
         };
         for shards in [1usize, 4] {
             let incremental = run(shards, MaintenanceMode::Incremental);
             let rescan = run(shards, MaintenanceMode::Rescan);
-            prop_assert!(
+            assert!(
                 incremental == rescan,
-                "report JSON diverged between maintenance modes at {} shards",
-                shards
+                "report JSON diverged between maintenance modes at {shards} shards"
             );
         }
-    }
+    });
+}
 
-    /// The locator-only oracle: under seeded permutations of arrival
-    /// order with expiry ticks interleaved, the expiry wheel finalizes
-    /// exactly what the retain-scan does.
-    #[test]
-    fn wheel_matches_retain_scan_under_permuted_arrivals(
-        flood in {
-            let t = topo();
-            prop::collection::vec(
-                (
-                    prop::sample::select(DataSource::ALL.to_vec()),
-                    kind_strategy(),
-                    0u64..2_400_000, // spans node + incident timeouts
-                    location_strategy(&t),
-                ),
-                1..200,
-            )
-        }.prop_shuffle(),
-        tick_every in 1usize..9,
-    ) {
-        let t = topo();
-        let alerts: Vec<StructuredAlert> = flood
-            .into_iter()
-            .map(|(source, kind, t_ms, location)| {
-                let raw = RawAlert::known(source, SimTime::from_millis(t_ms), location, kind);
-                StructuredAlert::from_raw(&raw, kind)
-            })
-            .collect();
+/// The locator-only oracle: under seeded permutations of arrival
+/// order with expiry ticks interleaved, the expiry wheel finalizes
+/// exactly what the retain-scan does.
+#[test]
+fn wheel_matches_retain_scan_under_permuted_arrivals() {
+    let t = topo();
+    let locations = locations_with_phantom(&t);
+    for_each_seed(SEEDS, |rng| {
+        // 40 minutes: spans node + incident timeouts.
+        let mut alerts = structured(&sorted_stream(rng, &locations, 1..200, 40 * 60 * 1000));
+        rng.shuffle(&mut alerts);
+        let tick_every = rng.range(1..9) as usize;
         let horizon = alerts
             .iter()
             .map(|a| a.last_seen)
@@ -232,8 +146,9 @@ proptest! {
             incidents.sort_by_key(|i| (i.first_seen, i.id));
             incidents
         };
-        let incremental = run(MaintenanceMode::Incremental);
-        let rescan = run(MaintenanceMode::Rescan);
-        prop_assert_eq!(incremental, rescan);
-    }
+        assert_eq!(
+            run(MaintenanceMode::Incremental),
+            run(MaintenanceMode::Rescan)
+        );
+    });
 }

@@ -3,7 +3,9 @@
 //! reconstructs every admitted alert's journey through the stages, and the
 //! exporters stay stable and parseable under a §6.2-scale flood.
 
-use proptest::prelude::*;
+mod common;
+
+use common::for_each_seed;
 use skynet::core::obs::TraceRecorder;
 use skynet::failure::{Injector, Scenario};
 use skynet::model::SimDuration;
@@ -141,13 +143,16 @@ fn exporters_are_stable_and_parseable_for_a_flood() {
     // The JSON document round-trips through a strict parser.
     let parsed: serde_json::Value = serde_json::from_str(&sky.json()).unwrap();
     let metrics = parsed["metrics"].as_array().unwrap();
-    assert!(metrics.iter().any(
-        |m| m["name"] == "skynet_ingest_accepted_total" && m["value"] == report.ingest.accepted
+    let has = |name: &str, value: u64| {
+        metrics
+            .iter()
+            .any(|m| m["name"].as_str() == Some(name) && m["value"].as_u64() == Some(value))
+    };
+    assert!(has("skynet_ingest_accepted_total", report.ingest.accepted));
+    assert!(has(
+        "skynet_preprocess_emitted_total",
+        report.preprocess.emitted
     ));
-    assert!(metrics
-        .iter()
-        .any(|m| m["name"] == "skynet_preprocess_emitted_total"
-            && m["value"] == report.preprocess.emitted));
 
     // Exporting is read-only: a second scrape of the idle pipeline is
     // byte-identical.
@@ -205,29 +210,26 @@ fn streaming_handle_exposes_the_shared_observability() {
     assert!(events.iter().any(|e| matches!(e.stage, Stage::Scored(_))));
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The trace ring never loses the newest events: with W concurrent
-    /// writers, the retained set is exactly the newest `capacity` records,
-    /// every writer's surviving events preserve its own write order as a
-    /// contiguous suffix ending at its final record, and the lossless
-    /// `recorded` tally counts every write.
-    #[test]
-    fn trace_ring_keeps_the_newest_events_under_concurrent_writers(
-        capacity in 1usize..512,
-        writers in 1usize..4,
-        per_writer in 1u64..200,
-    ) {
+/// The trace ring never loses the newest events: with W concurrent
+/// writers, the retained set is exactly the newest `capacity` records,
+/// every writer's surviving events preserve its own write order as a
+/// contiguous suffix ending at its final record, and the lossless
+/// `recorded` tally counts every write.
+#[test]
+fn trace_ring_keeps_the_newest_events_under_concurrent_writers() {
+    const SEEDS: std::ops::Range<u64> = 0..32;
+    for_each_seed(SEEDS, |rng| {
+        let capacity = rng.range(1..512) as usize;
+        let writers = rng.range(1..4);
+        let per_writer = rng.range(1..200);
         let recorder = Arc::new(TraceRecorder::new(capacity));
         std::thread::scope(|scope| {
             for w in 0..writers {
                 let recorder = Arc::clone(&recorder);
                 scope.spawn(move || {
                     for i in 0..per_writer {
-                        let id = (w as u64) * 1_000_000 + i + 1;
                         recorder.record(TraceEvent {
-                            trace: TraceId(id),
+                            trace: TraceId(w * 1_000_000 + i + 1),
                             at: SimTime::from_secs(i),
                             stage: Stage::GuardAdmitted,
                         });
@@ -235,24 +237,24 @@ proptest! {
                 });
             }
         });
-        let total = writers as u64 * per_writer;
-        prop_assert_eq!(recorder.recorded(), total);
+        let total = writers * per_writer;
+        assert_eq!(recorder.recorded(), total);
         let events = recorder.events();
-        prop_assert_eq!(events.len(), capacity.min(total as usize));
-        prop_assert_eq!(recorder.dropped(), total - events.len() as u64);
-        for w in 0..writers as u64 {
+        assert_eq!(events.len(), capacity.min(total as usize));
+        assert_eq!(recorder.dropped(), total - events.len() as u64);
+        for w in 0..writers {
             let ids: Vec<u64> = events
                 .iter()
                 .map(|e| e.trace.0)
                 .filter(|id| id / 1_000_000 == w)
                 .collect();
-            prop_assert!(ids.windows(2).all(|p| p[0] < p[1]));
+            assert!(ids.windows(2).all(|p| p[0] < p[1]));
             if let (Some(&first), Some(&last)) = (ids.first(), ids.last()) {
                 // Contiguous suffix: nothing in the middle was lost, and the
                 // writer's newest record survived.
-                prop_assert_eq!(ids.len() as u64, last - first + 1);
-                prop_assert_eq!(last, w * 1_000_000 + per_writer);
+                assert_eq!(ids.len() as u64, last - first + 1);
+                assert_eq!(last, w * 1_000_000 + per_writer);
             }
         }
-    }
+    });
 }

@@ -1,86 +1,23 @@
 //! Property-based integration tests: pipeline invariants over arbitrary
 //! alert streams.
 
-use proptest::prelude::*;
+mod common;
+
+use common::{for_each_seed, locations, sorted_stream, structured, topo, Lcg, HALF_HOUR_MS};
 use skynet::core::locator::{Locator, LocatorConfig};
 use skynet::core::{PipelineConfig, Preprocessor, PreprocessorConfig, SkyNet};
-use skynet::model::{
-    AlertKind, DataSource, LocationPath, PingLog, RawAlert, SimTime, StructuredAlert,
-};
-use skynet::topology::{generate, GeneratorConfig, Topology};
-use std::sync::Arc;
+use skynet::model::{PingLog, RawAlert, SimTime};
 
-fn topo() -> Arc<Topology> {
-    Arc::new(generate(&GeneratorConfig::small()))
-}
-
-fn kind_strategy() -> impl Strategy<Value = AlertKind> {
-    prop::sample::select(vec![
-        AlertKind::PacketLossIcmp,
-        AlertKind::PacketLossTcp,
-        AlertKind::LatencyJitter,
-        AlertKind::DeviceInaccessible,
-        AlertKind::LinkDown,
-        AlertKind::PortDown,
-        AlertKind::TrafficCongestion,
-        AlertKind::HardwareError,
-        AlertKind::HighCpu,
-        AlertKind::TrafficDrop,
-        AlertKind::TrafficSurge,
-        AlertKind::BgpPeerDown,
-    ])
-}
-
-fn source_strategy() -> impl Strategy<Value = DataSource> {
-    prop::sample::select(DataSource::ALL.to_vec())
-}
-
-/// Random locations drawn from a real topology's location space.
-fn location_strategy(topo: Arc<Topology>) -> impl Strategy<Value = LocationPath> {
-    let locations: Vec<LocationPath> = topo
-        .devices()
-        .iter()
-        .flat_map(|d| d.location.prefixes().collect::<Vec<_>>())
-        .collect();
-    prop::sample::select(locations)
-}
-
-fn alert_strategy(topo: Arc<Topology>) -> impl Strategy<Value = RawAlert> {
-    (
-        source_strategy(),
-        kind_strategy(),
-        0u64..1_800_000, // 30 minutes of millis
-        location_strategy(topo),
-        0.0f64..1.0,
-    )
-        .prop_map(|(source, kind, t, location, magnitude)| {
-            RawAlert::known(source, SimTime::from_millis(t), location, kind)
-                .with_magnitude(magnitude)
-        })
-}
-
-fn sorted_stream(topo: Arc<Topology>, max: usize) -> impl Strategy<Value = Vec<RawAlert>> {
-    prop::collection::vec(alert_strategy(topo), 0..max).prop_map(|mut v| {
-        v.sort_by_key(|a| a.timestamp);
-        v
-    })
-}
+/// Every property below runs these 48 cases.
+const SEEDS: std::ops::Range<u64> = 0..48;
 
 /// A bounded-skew permutation of a sorted flood: injects exact-duplicate
 /// retransmissions, then shuffles delivery order within time buckets of
 /// `bucket_ms` — half the ingestion guard's default skew window, so no
 /// alert can land behind the watermark.
-fn bucket_permute(alerts: &[RawAlert], seed: u64, bucket_ms: u64) -> Vec<RawAlert> {
-    use rand::seq::SliceRandom;
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+fn bucket_permute(alerts: &[RawAlert], rng: &mut Lcg, bucket_ms: u64) -> Vec<RawAlert> {
     let mut out = alerts.to_vec();
-    let dups: Vec<RawAlert> = alerts
-        .iter()
-        .filter(|_| rng.gen_bool(0.1))
-        .cloned()
-        .collect();
-    out.extend(dups);
+    out.extend(alerts.iter().filter(|_| rng.unit() < 0.1).cloned());
     out.sort_by_key(|a| a.timestamp);
     let mut i = 0;
     while i < out.len() {
@@ -89,127 +26,144 @@ fn bucket_permute(alerts: &[RawAlert], seed: u64, bucket_ms: u64) -> Vec<RawAler
         while j < out.len() && out[j].timestamp.as_millis() / bucket_ms == bucket {
             j += 1;
         }
-        out[i..j].shuffle(&mut rng);
+        rng.shuffle(&mut out[i..j]);
         i = j;
     }
     out
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The preprocessor never emits more alerts than it ingests, never
-    /// drops failure-class evidence entirely, and its stats add up.
-    #[test]
-    fn preprocessor_invariants(alerts in sorted_stream(topo(), 300)) {
+/// The preprocessor never emits more alerts than it ingests, never
+/// drops failure-class evidence entirely, and its stats add up.
+#[test]
+fn preprocessor_invariants() {
+    let locations = locations(&topo());
+    for_each_seed(SEEDS, |rng| {
+        let alerts = sorted_stream(rng, &locations, 0..300, HALF_HOUR_MS);
         let mut pp = Preprocessor::new(PreprocessorConfig::default(), None);
         let out = pp.process_batch(&alerts);
         let stats = pp.stats();
         // `raw` counts peer-splits too, so it is >= the input length.
-        prop_assert!(stats.raw >= alerts.len() as u64);
-        prop_assert_eq!(stats.emitted as usize, out.len());
-        prop_assert!(stats.emitted <= stats.raw);
+        assert!(stats.raw >= alerts.len() as u64);
+        assert_eq!(stats.emitted as usize, out.len());
+        assert!(stats.emitted <= stats.raw);
         // Time ranges are sane.
         for a in &out {
-            prop_assert!(a.first_seen <= a.last_seen);
-            prop_assert!(a.count >= 1);
+            assert!(a.first_seen <= a.last_seen);
+            assert!(a.count >= 1);
         }
         // Every emitted location appeared in the input.
         for a in &out {
-            prop_assert!(
+            assert!(
                 alerts.iter().any(|r| r.location == a.location),
-                "location {} not from input", a.location
+                "location {} not from input",
+                a.location
             );
         }
-    }
+    });
+}
 
-    /// Locator invariants: every incident's alerts sit under its root,
-    /// times are ordered, ids are unique, and nothing lands at the
-    /// network root.
-    #[test]
-    fn locator_invariants(alerts in sorted_stream(topo(), 300)) {
-        let t = topo();
-        let structured: Vec<StructuredAlert> = alerts
-            .iter()
-            .filter_map(|r| r.known_kind().map(|k| StructuredAlert::from_raw(r, k)))
-            .collect();
+/// Locator invariants: every incident's alerts sit under its root,
+/// times are ordered, ids are unique, and nothing lands at the
+/// network root.
+#[test]
+fn locator_invariants() {
+    let t = topo();
+    let locations = locations(&t);
+    for_each_seed(SEEDS, |rng| {
+        let structured = structured(&sorted_stream(rng, &locations, 0..300, HALF_HOUR_MS));
         let mut locator = Locator::new(&t, LocatorConfig::default());
         let incidents = locator.process_batch(&structured, SimTime::from_mins(60));
         let mut seen_ids = std::collections::HashSet::new();
         for incident in &incidents {
-            prop_assert!(seen_ids.insert(incident.id), "duplicate id {:?}", incident.id);
-            prop_assert!(!incident.alerts.is_empty());
-            prop_assert!(incident.first_seen <= incident.last_seen);
-            prop_assert!(!incident.root.is_root(), "incident at network root");
+            assert!(
+                seen_ids.insert(incident.id),
+                "duplicate id {:?}",
+                incident.id
+            );
+            assert!(!incident.alerts.is_empty());
+            assert!(incident.first_seen <= incident.last_seen);
+            assert!(!incident.root.is_root(), "incident at network root");
             for a in &incident.alerts {
-                prop_assert!(
+                assert!(
                     incident.root.contains(&a.location),
-                    "alert at {} outside root {}", a.location, incident.root
+                    "alert at {} outside root {}",
+                    a.location,
+                    incident.root
                 );
             }
         }
-    }
+    });
+}
 
-    /// The full pipeline never panics and produces a coherent ranked
-    /// report for arbitrary input.
-    #[test]
-    fn pipeline_is_total_and_ranked(alerts in sorted_stream(topo(), 200)) {
-        let t = topo();
-        let sky = SkyNet::builder(&t).config(PipelineConfig::production()).build();
+/// The full pipeline never panics and produces a coherent ranked
+/// report for arbitrary input.
+#[test]
+fn pipeline_is_total_and_ranked() {
+    let t = topo();
+    let locations = locations(&t);
+    for_each_seed(SEEDS, |rng| {
+        let alerts = sorted_stream(rng, &locations, 0..200, HALF_HOUR_MS);
+        let sky = SkyNet::builder(&t)
+            .config(PipelineConfig::production())
+            .build();
         let report = sky.analyze(&alerts, &PingLog::new(), SimTime::from_mins(60));
         // Ranked descending.
         for w in report.incidents.windows(2) {
-            prop_assert!(w[0].score() >= w[1].score());
+            assert!(w[0].score() >= w[1].score());
         }
         // Scores are finite and non-negative; zooms stay in scope.
         for s in &report.incidents {
-            prop_assert!(s.score().is_finite() && s.score() >= 0.0);
-            prop_assert!(s.incident.root.contains(&s.zoom.location));
+            assert!(s.score().is_finite() && s.score() >= 0.0);
+            assert!(s.incident.root.contains(&s.zoom.location));
         }
-        prop_assert!(report.actionable().count() <= report.incidents.len());
-    }
+        assert!(report.actionable().count() <= report.incidents.len());
+    });
+}
 
-    /// Type-distinct counting dominates type+location: the production
-    /// counting mode never reports *more* incidents.
-    #[test]
-    fn type_distinct_reports_at_most_as_many_incidents(
-        alerts in sorted_stream(topo(), 200)
-    ) {
-        let t = topo();
-        let structured: Vec<StructuredAlert> = alerts
-            .iter()
-            .filter_map(|r| r.known_kind().map(|k| StructuredAlert::from_raw(r, k)))
-            .collect();
+/// Type-distinct counting dominates type+location: the production
+/// counting mode never reports *more* incidents.
+#[test]
+fn type_distinct_reports_at_most_as_many_incidents() {
+    let t = topo();
+    let locations = locations(&t);
+    for_each_seed(SEEDS, |rng| {
+        let structured = structured(&sorted_stream(rng, &locations, 0..200, HALF_HOUR_MS));
         let run = |counting| {
             let cfg = LocatorConfig::default().with_counting(counting);
             let mut locator = Locator::new(&t, cfg);
-            locator.process_batch(&structured, SimTime::from_mins(60)).len()
+            locator
+                .process_batch(&structured, SimTime::from_mins(60))
+                .len()
         };
         let distinct = run(skynet::core::CountingMode::TypeDistinct);
         let per_location = run(skynet::core::CountingMode::TypeAndLocation);
-        prop_assert!(
+        assert!(
             distinct <= per_location,
-            "distinct {} > per-location {}", distinct, per_location
+            "distinct {distinct} > per-location {per_location}"
         );
-    }
+    });
+}
 
-    /// Order-insensitivity under bounded skew: any permutation of a flood
-    /// within the guard's skew window — duplicates included — yields the
-    /// same incidents as a sorted replay. The watermarked reordering
-    /// buffer re-sequences delivery; duplicate suppression rejects the
-    /// retransmissions.
-    #[test]
-    fn bounded_skew_permutation_matches_sorted_replay(
-        alerts in sorted_stream(topo(), 200),
-        seed in any::<u64>(),
-    ) {
-        let t = topo();
-        let sorted = SkyNet::builder(&t).config(PipelineConfig::production()).build()
-            .analyze(&alerts, &PingLog::new(), SimTime::from_mins(60));
+/// Order-insensitivity under bounded skew: any permutation of a flood
+/// within the guard's skew window — duplicates included — yields the
+/// same incidents as a sorted replay. The watermarked reordering
+/// buffer re-sequences delivery; duplicate suppression rejects the
+/// retransmissions.
+#[test]
+fn bounded_skew_permutation_matches_sorted_replay() {
+    let t = topo();
+    let locations = locations(&t);
+    for_each_seed(SEEDS, |rng| {
+        let alerts = sorted_stream(rng, &locations, 0..200, HALF_HOUR_MS);
+        let analyze = |feed: &[RawAlert]| {
+            SkyNet::builder(&t)
+                .config(PipelineConfig::production())
+                .build()
+                .analyze(feed, &PingLog::new(), SimTime::from_mins(60))
+        };
+        let sorted = analyze(&alerts);
         // Half the default 30 s skew window.
-        let feed = bucket_permute(&alerts, seed, 15_000);
-        let permuted = SkyNet::builder(&t).config(PipelineConfig::production()).build()
-            .analyze(&feed, &PingLog::new(), SimTime::from_mins(60));
+        let permuted = analyze(&bucket_permute(&alerts, rng, 15_000));
 
         let key = |s: &skynet::core::ScoredIncident| {
             (
@@ -223,8 +177,8 @@ proptest! {
         let mut b: Vec<_> = permuted.incidents.iter().map(key).collect();
         a.sort();
         b.sort();
-        prop_assert_eq!(a, b);
+        assert_eq!(a, b);
         // The injected retransmissions were rejected, not analyzed twice.
-        prop_assert_eq!(permuted.ingest.accepted, sorted.ingest.accepted);
-    }
+        assert_eq!(permuted.ingest.accepted, sorted.ingest.accepted);
+    });
 }

@@ -2,7 +2,7 @@
 //! and `submit` across tenants is *observationally identical* to
 //! submitting every event one at a time.
 //!
-//! Property (proptest, shards 1 and 4): for an arbitrary interleaving of
+//! Property (seeded cases, shards 1 and 4): for an arbitrary interleaving of
 //! per-tenant batch and single submissions over three tenants, the WAL
 //! the batched run writes replays to reports byte-identical to the WAL a
 //! one-at-a-time run writes from the same per-tenant feeds. Batching is a
@@ -16,18 +16,21 @@
 //! streams are indexed by global submit order, which batching is allowed
 //! to regroup only when no arm is watching).
 
-use proptest::prelude::*;
+mod common;
+
+use common::{for_each_seed, topo, Lcg};
 use skynet::core::serve::{FsyncPolicy, WalEvent};
 use skynet::core::{replay_wal, PipelineConfig, ServeConfig, SkyNet, StreamingConfig};
 use skynet::model::{AlertKind, DataSource, RawAlert, SimTime};
-use skynet::topology::{generate, GeneratorConfig, Topology};
+use skynet::topology::Topology;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+
+const SEEDS: std::ops::Range<u64> = 0..4;
 
 const TENANTS: [&str; 3] = ["batch-a", "batch-b", "batch-c"];
 
-/// Unique scratch directories across proptest cases within one process.
+/// Unique scratch directories across cases within one process.
 static CASE: AtomicU64 = AtomicU64::new(0);
 
 fn test_dir(run: &str) -> PathBuf {
@@ -38,10 +41,6 @@ fn test_dir(run: &str) -> PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-fn topo() -> Arc<Topology> {
-    Arc::new(generate(&GeneratorConfig::small()))
 }
 
 fn pipeline_cfg(shards: usize) -> PipelineConfig {
@@ -144,29 +143,27 @@ fn run_feed(ops: &[(usize, usize)], shards: usize, batched: bool) -> Vec<(String
 /// single `submit`; sizes 1–3 go through `submit_batch` in the batched
 /// run. A leading single submit per tenant guarantees every tenant
 /// appears in both runs.
-fn ops_strategy() -> impl Strategy<Value = Vec<(usize, usize)>> {
-    prop::collection::vec((0usize..TENANTS.len(), 0usize..=3), 3..20).prop_map(|tail| {
-        let mut ops: Vec<(usize, usize)> = (0..TENANTS.len()).map(|t| (t, 0)).collect();
-        ops.extend(tail);
-        ops
-    })
+fn ops(rng: &mut Lcg) -> Vec<(usize, usize)> {
+    let mut ops: Vec<(usize, usize)> = (0..TENANTS.len()).map(|t| (t, 0)).collect();
+    for _ in 0..rng.range(3..20) {
+        let tenant = rng.range(0..TENANTS.len() as u64) as usize;
+        ops.push((tenant, rng.range(0..4) as usize));
+    }
+    ops
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
-
-    /// The tentpole equivalence, at one shard and at four.
-    #[test]
-    fn batched_and_single_submission_replay_identically(ops in ops_strategy()) {
+/// The tentpole equivalence, at one shard and at four.
+#[test]
+fn batched_and_single_submission_replay_identically() {
+    for_each_seed(SEEDS, |rng| {
+        let ops = ops(rng);
         for shards in [1usize, 4] {
             let batched = run_feed(&ops, shards, true);
             let single = run_feed(&ops, shards, false);
-            prop_assert_eq!(
-                batched,
-                single,
-                "replay reports diverged between batched and single submission at {} shard(s)",
-                shards
+            assert_eq!(
+                batched, single,
+                "replay reports diverged between batched and single submission at {shards} shard(s)"
             );
         }
-    }
+    });
 }
