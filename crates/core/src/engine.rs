@@ -22,8 +22,8 @@
 //! moves past it) before work on it starts, so a panic unwinding out of a
 //! stage loses exactly the alert in flight — which the guard and
 //! `locate-worker` sites quarantine first — and the next call into the
-//! engine carries on behind it. A caller that catches the panic keeps the
-//! engine; only the streaming supervisor starts a fresh one.
+//! engine carries on behind it. Every driver catches the panic and keeps
+//! the engine.
 
 use crate::error::RejectReason;
 use crate::faultinject::{self, FaultAction, FaultArm, FaultPlane, InjectionSite};
@@ -360,12 +360,12 @@ fn fault_letter(dead: &Mutex<DeadLetterQueue>, alert: &StructuredAlert) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faultinject::{FaultConfig, FaultRule};
+    use crate::faultinject::{DegradationReport, FaultConfig, FaultRule};
     use crate::guard::DeadLetter;
     use crate::pipeline::tests::{topo, two_region_flood};
-    use crate::pipeline::{PipelineConfig, StreamEvent, StreamIncident};
-    use crate::serve::{ServeConfig, WalEvent};
-    use skynet_model::{AlertClass, AlertKind, DataSource, SimDuration};
+    use crate::pipeline::{PipelineConfig, StreamEvent, StreamIncident, StreamingHandle};
+    use crate::serve::{ServeConfig, ServiceHandle, WalEvent};
+    use skynet_model::{AlertClass, AlertKind, DataSource, LocationPath, SimDuration};
     use skynet_topology::Topology;
 
     const HORIZON: SimTime = SimTime::from_mins(30);
@@ -480,58 +480,151 @@ mod tests {
         }
     }
 
+    /// What the locators decided, independent of emission order and of the
+    /// ids (per locator when streaming, canonical in a report).
+    fn incident_keys<'a>(
+        incidents: impl Iterator<Item = &'a Incident>,
+    ) -> Vec<(SimTime, LocationPath, SimTime, Vec<StructuredAlert>)> {
+        let mut keys: Vec<_> = incidents
+            .map(|i| (i.first_seen, i.root.clone(), i.last_seen, i.alerts.clone()))
+            .collect();
+        keys.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+        keys
+    }
+
+    /// Streams `events` to the end and hands back what was emitted.
+    fn stream_feed(
+        skynet: SkyNet,
+        events: &[StreamEvent],
+    ) -> (Vec<StreamIncident>, StreamingHandle) {
+        let handle = skynet.stream();
+        for event in events {
+            handle.send(event.clone()).unwrap();
+        }
+        handle.send(StreamEvent::Flush).unwrap();
+        let incidents = handle.incidents.iter().collect();
+        handle.join().unwrap();
+        (incidents, handle)
+    }
+
+    /// Submits `events` to one served tenant and reports it at `HORIZON`.
+    fn serve_feed(
+        skynet: SkyNet,
+        tag: &str,
+        events: &[StreamEvent],
+    ) -> (AnalysisReport, DegradationReport) {
+        let wal_dir =
+            std::env::temp_dir().join(format!("skynet-engine-test-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&wal_dir);
+        let service = ServiceHandle::start(skynet, ServeConfig::new(&wal_dir)).unwrap();
+        service.hello("tenant").unwrap();
+        for event in events {
+            let event = match event.clone() {
+                StreamEvent::Alert(raw) => WalEvent::Alert(raw),
+                StreamEvent::Ping(sample) => WalEvent::Ping(sample),
+                StreamEvent::Tick(now) => WalEvent::Tick(now),
+                StreamEvent::Flush | StreamEvent::ChaosPanic => unreachable!("not in the feed"),
+            };
+            service.submit("tenant", event).unwrap();
+        }
+        let report = service.report("tenant", HORIZON).unwrap();
+        let degradation = service.degradation_report();
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&wal_dir);
+        (report, degradation)
+    }
+
     #[test]
     fn streaming_and_a_tenant_agree_on_the_incident_set() {
         let t = topo();
         let mut events = event_feed(&t);
         events.push(StreamEvent::Tick(HORIZON));
-        // What the locators decided, independent of emission order and of
-        // the ids (per locator when streaming, canonical in a report).
-        let key = |i: &Incident| (i.first_seen, i.root.clone(), i.last_seen, i.alerts.clone());
         for shards in [1, 2] {
-            let handle = skynet(&t, shards).stream();
-            for event in &events {
-                handle.events.send(event.clone()).unwrap();
-            }
-            handle.events.send(StreamEvent::Flush).unwrap();
-            let streamed: Vec<StreamIncident> = handle.incidents.iter().collect();
-            handle.join().unwrap();
+            let (streamed, handle) = stream_feed(skynet(&t, shards), &events);
+            let (report, _) = serve_feed(skynet(&t, shards), &format!("agree-{shards}"), &events);
 
-            let wal_dir = std::env::temp_dir().join(format!(
-                "skynet-engine-test-{}-{shards}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&wal_dir);
-            let service = SkyNet::builder(&t)
-                .config(skynet(&t, shards).cfg)
-                .serve(ServeConfig::new(&wal_dir))
-                .unwrap();
-            service.hello("tenant").unwrap();
-            for event in &events {
-                let event = match event.clone() {
-                    StreamEvent::Alert(raw) => WalEvent::Alert(raw),
-                    StreamEvent::Ping(sample) => WalEvent::Ping(sample),
-                    StreamEvent::Tick(now) => WalEvent::Tick(now),
-                    StreamEvent::Flush | StreamEvent::ChaosPanic => unreachable!("not in the feed"),
-                };
-                service.submit("tenant", event).unwrap();
-            }
-            let report = service.report("tenant", HORIZON).unwrap();
-            service.shutdown();
-            let _ = std::fs::remove_dir_all(&wal_dir);
-
-            let mut from_stream: Vec<_> =
-                streamed.iter().map(|s| key(&s.scored.incident)).collect();
-            let mut from_tenant: Vec<_> =
-                report.incidents.iter().map(|s| key(&s.incident)).collect();
-            from_stream.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
-            from_tenant.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+            let from_stream = incident_keys(streamed.iter().map(|s| &s.scored.incident));
+            let from_tenant = incident_keys(report.incidents.iter().map(|s| &s.incident));
             assert_eq!(from_stream.len(), 2, "one incident per region");
             assert_eq!(from_stream, from_tenant, "shards = {shards}");
             // Same guard, same preprocessor: counter parity too.
             assert_eq!(handle.preprocess_stats(), report.preprocess);
             assert_eq!(handle.ingest_stats(), report.ingest);
         }
+    }
+
+    /// The determinism contract across drivers, with a fault armed: the
+    /// second located alert panics, and batch, a served tenant and the
+    /// stream all lose exactly that alert — the same incidents (here none:
+    /// the lost alert was the second Failure kind the tree needed) and the
+    /// same degradation timeline.
+    #[test]
+    fn every_driver_tells_the_same_story_of_a_locate_panic() {
+        let t = topo();
+        let site = t.clusters()[0].parent();
+        let kinds = [
+            (DataSource::Ping, AlertKind::PacketLossIcmp),
+            (DataSource::Ping, AlertKind::PacketLossTcp),
+            (DataSource::Snmp, AlertKind::LinkDown),
+        ];
+        let alerts: Vec<RawAlert> = (0..30usize)
+            .map(|i| {
+                let (source, kind) = kinds[i % 3];
+                RawAlert::known(source, SimTime::from_secs(2 * i as u64), site.clone(), kind)
+                    .with_magnitude(0.3)
+            })
+            .collect();
+        let mut events: Vec<StreamEvent> = alerts.iter().cloned().map(StreamEvent::Alert).collect();
+        events.push(StreamEvent::Tick(HORIZON));
+        let faulted = || {
+            skynet_with_faults(
+                &t,
+                1,
+                FaultConfig::seeded(13).with_rule(FaultRule::once(
+                    InjectionSite::LocateWorker,
+                    2,
+                    FaultAction::Panic,
+                )),
+            )
+        };
+        let story = |d: &DegradationReport| -> Vec<_> {
+            d.timeline
+                .iter()
+                .map(|e| (e.at, e.trace, e.stage.label()))
+                .collect()
+        };
+
+        let clean = skynet(&t, 1).analyze(&alerts, &PingLog::new(), HORIZON);
+        assert_eq!(
+            clean.incidents.len(),
+            1,
+            "without the fault the site has its incident"
+        );
+
+        let batch_net = faulted();
+        let batch = batch_net.analyze(&alerts, &PingLog::new(), HORIZON);
+        let batch_story = story(&batch_net.degradation_report(&batch));
+        assert_eq!(
+            batch_story.len(),
+            2,
+            "the injection and the restart it caused"
+        );
+        let batch_keys = incident_keys(batch.incidents.iter().map(|s| &s.incident));
+
+        let (tenant, tenant_degradation) = serve_feed(faulted(), "story", &events);
+        assert_eq!(
+            incident_keys(tenant.incidents.iter().map(|s| &s.incident)),
+            batch_keys
+        );
+        assert_eq!(story(&tenant_degradation), batch_story);
+
+        let (streamed, handle) = stream_feed(faulted(), &events);
+        assert_eq!(
+            incident_keys(streamed.iter().map(|s| &s.scored.incident)),
+            batch_keys
+        );
+        assert_eq!(story(&handle.degradation_report()), batch_story);
+        assert_eq!(handle.health().restarts, 1);
     }
 
     /// What a caller that contains panics sees — a serving tenant's worker

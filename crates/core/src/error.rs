@@ -81,21 +81,22 @@ pub enum SkyNetError {
         timestamp: SimTime,
     },
     /// A streaming channel closed because the other side hung up: the
-    /// supervisor exhausted its restarts or the consumer dropped the
-    /// incident receiver.
+    /// worker stopped (flushed, or out of its panic budget) or the consumer
+    /// dropped the incident receiver.
     ChannelClosed,
     /// An alert was shed under load instead of enqueued.
     Shed {
         /// The class of the shed alert (never [`AlertClass::Failure`]).
         class: AlertClass,
     },
-    /// A pipeline stage panicked; the supervisor caught it and restarted
-    /// the worker with fresh stage state.
+    /// A pipeline stage panicked; the worker caught it, lost the event in
+    /// flight and carried on with its engine.
     WorkerPanicked {
-        /// How many restarts the supervisor has performed so far.
+        /// How many panics the worker has caught so far.
         restarts: u32,
     },
-    /// The supervisor hit its restart cap and gave up; the stream is dead.
+    /// The streaming worker spent its panic budget and gave up; the stream
+    /// is dead.
     RestartsExhausted {
         /// The configured restart cap.
         cap: u32,

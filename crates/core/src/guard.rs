@@ -261,21 +261,6 @@ impl IngestStats {
             RejectReason::FaultInjected => self.rejected_injected,
         }
     }
-
-    /// Folds counters from a later snapshot segment into this one (used by
-    /// the supervisor to accumulate across worker restarts). Counters add;
-    /// the watermark takes the maximum.
-    pub fn merge(&mut self, other: &IngestStats) {
-        self.accepted += other.accepted;
-        self.reordered += other.reordered;
-        self.rejected_off_topology += other.rejected_off_topology;
-        self.rejected_stale += other.rejected_stale;
-        self.rejected_future += other.rejected_future;
-        self.rejected_duplicate += other.rejected_duplicate;
-        self.rejected_corrupt += other.rejected_corrupt;
-        self.rejected_injected += other.rejected_injected;
-        self.watermark = self.watermark.max_of(other.watermark);
-    }
 }
 
 /// Identity of an alert for exact-duplicate suppression: everything a tool
@@ -412,8 +397,8 @@ impl IngestGuard {
         Self::with_dead_letters(topo, cfg, dead)
     }
 
-    /// A guard reusing an existing dead-letter queue — how the supervisor
-    /// keeps quarantined alerts across worker restarts.
+    /// A guard quarantining into an existing dead-letter queue — the one a
+    /// streaming handle or a serving tenant reads from outside the worker.
     pub fn with_dead_letters(
         topo: &Topology,
         cfg: GuardConfig,
@@ -989,25 +974,5 @@ mod tests {
             restored.dead_letters().lock().total(),
             live.dead_letters().lock().total()
         );
-    }
-
-    #[test]
-    fn stats_merge_accumulates_across_restarts() {
-        let mut a = IngestStats {
-            accepted: 10,
-            rejected_stale: 2,
-            watermark: SimTime::from_secs(50),
-            ..IngestStats::default()
-        };
-        let b = IngestStats {
-            accepted: 5,
-            rejected_corrupt: 1,
-            watermark: SimTime::from_secs(40),
-            ..IngestStats::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.accepted, 15);
-        assert_eq!(a.rejected(), 3);
-        assert_eq!(a.watermark, SimTime::from_secs(50));
     }
 }

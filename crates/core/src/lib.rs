@@ -34,7 +34,7 @@
 //! - `engine` (crate-private) — the one pipeline state machine (guard →
 //!   preprocess → shard route → N locators) that batch analysis, the
 //!   streaming worker and every serving tenant drive.
-//! - [`pipeline`] — the assembled system: batch analysis and a supervised,
+//! - [`pipeline`] — the assembled system: batch analysis and a
 //!   channel-based streaming mode, both optionally region-sharded via
 //!   [`StreamingConfig::shards`].
 //! - [`obs`] — the unified observability layer: the metrics registry every
@@ -76,7 +76,7 @@ pub use guard::{DeadLetter, DeadLetterQueue, GuardConfig, IngestGuard, IngestSta
 pub use locator::{CountingMode, Incident, Locator, LocatorConfig, MaintenanceMode, Thresholds};
 pub use obs::{Exporter, ObsConfig, Observability};
 pub use pipeline::{
-    AnalysisReport, Handle, HealthReport, IngestSnapshot, PipelineConfig, SkyNet, SkyNetBuilder,
+    AnalysisReport, HealthReport, IngestSnapshot, PipelineConfig, SkyNet, SkyNetBuilder,
     StreamEvent, StreamIncident, StreamingConfig, StreamingHandle,
 };
 pub use preprocess::{Preprocessor, PreprocessorConfig, SyslogClassifier};
@@ -97,7 +97,7 @@ pub mod prelude {
     pub use crate::locator::Incident;
     pub use crate::obs::{Exporter, ObsConfig, Observability, Stage, TraceEvent};
     pub use crate::pipeline::{
-        AnalysisReport, Handle, PipelineConfig, SkyNet, SkyNetBuilder, StreamEvent, StreamIncident,
+        AnalysisReport, PipelineConfig, SkyNet, SkyNetBuilder, StreamEvent, StreamIncident,
         StreamingConfig, StreamingHandle,
     };
     pub use crate::serve::{replay_wal, BatchAck, ServeConfig, ServiceHandle, TenantHealth};

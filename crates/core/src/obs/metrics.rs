@@ -4,7 +4,8 @@
 //! Handles are `Arc`-shared atomics, so the hot path never takes the
 //! registry lock — registration happens once per stage construction and
 //! is idempotent (re-registering a name returns the existing handle, which
-//! is how supervisor restarts keep accumulating into the same counters).
+//! is how a tenant's next incarnation keeps accumulating into the same
+//! counters).
 //! Export happens through [`MetricsRegistry::snapshot`], a single pass
 //! under one read lock, feeding the [`export`](crate::obs::export)
 //! formatters.

@@ -17,7 +17,7 @@
 //!   [`Exporter`] trait on every handle that owns a registry.
 //!
 //! An [`Observability`] handle is shared by the whole pipeline (batch
-//! stages, region shards, streaming workers across supervisor restarts);
+//! stages, region shards, the streaming worker, every serving tenant);
 //! build one with [`Observability::new`] or let
 //! [`SkyNet::builder`](crate::SkyNet::builder) do it.
 

@@ -2,12 +2,12 @@
 //!
 //! [`SkyNet::analyze`] runs the batch pipeline of Fig. 5a — guard →
 //! preprocess → locate → evaluate → rank — over a recorded alert flood.
-//! [`SkyNet::stream`] runs the same stages as a long-lived, *supervised*
-//! worker thread fed through a channel, the shape the production deployment
-//! uses ("the alert preprocessing occurs through a stream processing
-//! mechanism", §6.2). Both drive the crate-private `Engine` every serving
-//! tenant does: a recorded flood is the stream replayed a stage at a time,
-//! and streaming is one anonymous tenant without a WAL.
+//! [`SkyNet::stream`] runs the same stages as a long-lived worker thread
+//! fed through a channel, the shape the production deployment uses ("the
+//! alert preprocessing occurs through a stream processing mechanism",
+//! §6.2). Both drive the crate-private `Engine` every serving tenant does: a
+//! recorded flood is the stream replayed a stage at a time, and streaming
+//! is one anonymous tenant without a WAL.
 //!
 //! The streaming runtime is built to survive the conditions it analyzes:
 //!
@@ -17,9 +17,10 @@
 //! - [`StreamingHandle::send_alert`] applies **class-aware load shedding**
 //!   when the event channel saturates — [`AlertClass::Failure`] alerts are
 //!   never shed, [`AlertClass::Abnormal`] alerts go first;
-//! - a **supervisor** wraps the worker in `catch_unwind` and restarts it
-//!   with fresh stage state after a panic (counters survive via shared
-//!   snapshots), up to a configurable cap;
+//! - the worker **contains panics** the way batch analysis and a serving
+//!   tenant do — the event (or completed incident) in flight is lost, the
+//!   engine and its cumulative alert tree carry on — up to a configurable
+//!   cap, past which the stream stops and says why;
 //! - [`StreamingHandle::health`] is the liveness probe.
 
 use crate::engine::Engine;
@@ -36,21 +37,22 @@ use crate::obs::{
 };
 use crate::preprocess::{PreprocessStats, PreprocessorConfig, SyslogClassifier};
 use crate::sop::{SopEngine, SopPlan};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use skynet_model::{
     AlertClass, AlertKind, IncidentId, PingLog, PingSample, RawAlert, SimTime, TraceId,
 };
 use skynet_topology::Topology;
+use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Knobs for the streaming runtime (channel sizing, ingestion guard,
-/// shedding and supervision).
+/// shedding and the panic budget).
 ///
 /// `#[non_exhaustive]`: construct via [`StreamingConfig::default`] and the
 /// fluent `with_*` setters so future knobs (like the `shards` knob this
@@ -65,16 +67,12 @@ pub struct StreamingConfig {
     /// Ingestion-guard knobs (watermark skew, future tolerance, quarantine
     /// size).
     pub guard: GuardConfig,
-    /// Publish shared counter snapshots every this many processed alerts
-    /// (ticks and flushes always publish). `0` publishes on every alert.
-    pub stats_interval: u64,
     /// Event-channel fill fraction above which `Abnormal` alerts are shed
     /// by [`StreamingHandle::send_alert`].
     pub shed_high_water: f64,
-    /// Worker panics tolerated (each costs a restart with fresh stage
-    /// state) before the streaming supervisor gives up. Batch analysis
-    /// and serving tenants keep their engine across a panic and have no
-    /// budget.
+    /// Worker panics the streaming worker contains (each costs the event
+    /// or completed incident in flight) before it gives up and stops.
+    /// Batch analysis and serving tenants have no budget.
     pub max_restarts: u32,
     /// Region-affine shards for the locate stage: structured alerts route
     /// to one of N locators by the [`ShardRouter`](crate::shard::ShardRouter).
@@ -96,7 +94,6 @@ impl Default for StreamingConfig {
             event_capacity: 4096,
             incident_capacity: 256,
             guard: GuardConfig::default(),
-            stats_interval: 64,
             shed_high_water: 0.75,
             max_restarts: 3,
             shards: default_shards(),
@@ -123,19 +120,13 @@ impl StreamingConfig {
         self
     }
 
-    /// Sets the counter-publish interval (alerts between snapshots).
-    pub fn with_stats_interval(mut self, interval: u64) -> Self {
-        self.stats_interval = interval;
-        self
-    }
-
     /// Sets the shedding high-water fraction.
     pub fn with_shed_high_water(mut self, fraction: f64) -> Self {
         self.shed_high_water = fraction;
         self
     }
 
-    /// Sets the supervisor's restart budget.
+    /// Sets the streaming worker's panic budget.
     pub fn with_max_restarts(mut self, restarts: u32) -> Self {
         self.max_restarts = restarts;
         self
@@ -425,8 +416,8 @@ impl SkyNetBuilder {
         }
     }
 
-    /// Builds the pipeline and spawns it as the supervised streaming
-    /// runtime in one step — the builder-first spelling of
+    /// Builds the pipeline and spawns it as the streaming runtime in one
+    /// step — the builder-first spelling of
     /// [`SkyNet::stream`].
     pub fn stream(self) -> StreamingHandle {
         self.build().stream()
@@ -480,14 +471,6 @@ impl SkyNet {
         &self.obs
     }
 
-    /// Spawns this pipeline as a supervised streaming worker fed through a
-    /// bounded channel — the paper's production deployment shape (§6.2).
-    /// Prefer reaching this through the builder:
-    /// `SkyNet::builder(topo).config(cfg).stream()`.
-    pub fn stream(self) -> StreamingHandle {
-        spawn_streaming_impl(self)
-    }
-
     /// Every retained trace event of one alert — "where did alert X go?".
     pub fn explain(&self, trace: TraceId) -> Vec<TraceEvent> {
         self.obs.explain(trace)
@@ -529,7 +512,7 @@ impl SkyNet {
     /// quarantine it first), the engine keeps its state and the stage
     /// resumes behind the poisoned alert, each panic counted in
     /// `skynet_worker_restarts_total`. Nothing is replayed and there is no
-    /// restart budget (`max_restarts` is the streaming supervisor's). Any
+    /// restart budget (`max_restarts` is the streaming worker's). Any
     /// other panic is a bug and unwinds into the caller.
     pub fn analyze_owned(
         &self,
@@ -717,8 +700,8 @@ pub enum StreamEvent {
     Tick(SimTime),
     /// End of stream: finalize all open incidents and stop.
     Flush,
-    /// Chaos hook: makes the worker panic when processed, exercising the
-    /// supervisor's catch-and-restart path. Costs one restart.
+    /// Chaos hook: makes the worker panic when processed, exercising its
+    /// panic containment. Costs one restart.
     ChaosPanic,
 }
 
@@ -733,15 +716,15 @@ pub struct StreamIncident {
     pub sop: Option<SopPlan>,
 }
 
-/// Liveness/health probe result for the streaming pipeline.
+/// Liveness/health probe result for a long-lived pipeline handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HealthReport {
-    /// The supervisor loop is still running.
+    /// The worker is still running.
     pub alive: bool,
-    /// Worker panics caught so far (each but possibly the last led to a
-    /// restart with fresh stage state).
+    /// Worker panics caught so far (each cost the event or completed
+    /// incident in flight; the engine carried on).
     pub restarts: u32,
-    /// The supervisor exhausted its restart budget and stopped.
+    /// The streaming worker exhausted its panic budget and stopped.
     pub gave_up: bool,
     /// The terminal degradation cause when `gave_up` is set: the error
     /// behind the panic that exhausted the budget (an injected fault names
@@ -752,8 +735,8 @@ pub struct HealthReport {
     pub queued_events: usize,
 }
 
-/// A consistent snapshot of every counter the streaming pipeline keeps,
-/// taken across worker restarts.
+/// Every counter the streaming pipeline keeps, read from the metrics
+/// registry in one pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct IngestSnapshot {
     /// Preprocessing counters (including producer-side shed counts).
@@ -762,6 +745,44 @@ pub struct IngestSnapshot {
     pub ingest: IngestStats,
     /// Worker panics caught so far.
     pub restarts: u32,
+}
+
+impl IngestSnapshot {
+    /// Reads the series the guard, the preprocessor and the shedding front
+    /// door bump as they work — one engine feeds them for the life of a
+    /// stream, so they *are* its counters.
+    fn read(snap: &RegistrySnapshot, restarts: u32) -> Self {
+        let total = |name: &str| snap.counter(name, None);
+        let rejected = |reason: RejectReason| {
+            snap.counter("skynet_ingest_rejected_total", Some(reason.label()))
+        };
+        let watermark_ms = snap.gauge("skynet_ingest_watermark_seconds", None) * 1e3;
+        IngestSnapshot {
+            preprocess: PreprocessStats {
+                raw: total("skynet_preprocess_raw_total"),
+                emitted: total("skynet_preprocess_emitted_total"),
+                deduplicated: total("skynet_preprocess_deduplicated_total"),
+                filtered_sporadic: total("skynet_preprocess_filtered_sporadic_total"),
+                filtered_uncorroborated: total("skynet_preprocess_filtered_uncorroborated_total"),
+                shed_abnormal: snap.counter("skynet_shed_total", Some("abnormal")),
+                shed_root_cause: snap.counter("skynet_shed_total", Some("root-cause")),
+            },
+            ingest: IngestStats {
+                accepted: total("skynet_ingest_accepted_total"),
+                reordered: total("skynet_ingest_reordered_total"),
+                rejected_off_topology: rejected(RejectReason::OffTopology),
+                rejected_stale: rejected(RejectReason::StaleTimestamp),
+                rejected_future: rejected(RejectReason::FutureTimestamp),
+                rejected_duplicate: rejected(RejectReason::Duplicate),
+                rejected_corrupt: rejected(RejectReason::CorruptBody),
+                rejected_injected: rejected(RejectReason::FaultInjected),
+                // The gauge holds whole milliseconds over 1e3: the round
+                // trip is exact.
+                watermark: SimTime::from_millis(watermark_ms.round() as u64),
+            },
+            restarts,
+        }
+    }
 }
 
 /// The shedding policy (graceful degradation under flood, §6.2):
@@ -777,20 +798,11 @@ pub fn should_shed(class: AlertClass, queued: usize, capacity: usize, high_water
     }
 }
 
-/// Both counter families, published together under one lock so a reader
-/// can never observe a preprocess snapshot from one publish paired with an
-/// ingest snapshot from another.
-#[derive(Debug, Clone, Copy, Default)]
-struct SharedCounters {
-    preprocess: PreprocessStats,
-    ingest: IngestStats,
-}
-
-/// Supervisor lifecycle read and written as one unit: the previous
-/// separate `alive`/`gave_up`/`restarts` atomics allowed a
-/// [`HealthReport`] to pair a fresh `restarts` with a stale `gave_up`.
+/// Worker lifecycle read and written as one unit: separate
+/// `alive`/`gave_up`/`restarts` atomics would allow a [`HealthReport`] to
+/// pair a fresh `restarts` with a stale `gave_up`.
 #[derive(Debug, Clone, Copy)]
-struct SupervisorState {
+struct WorkerState {
     alive: bool,
     gave_up: bool,
     restarts: u32,
@@ -798,68 +810,47 @@ struct SupervisorState {
     degraded: Option<SkyNetError>,
 }
 
+/// What the handle and the worker share besides the channels.
 #[derive(Debug)]
 struct Monitor {
-    state: Mutex<SupervisorState>,
-    /// Producer-side shed counts stay atomic: they are bumped on the
-    /// send_alert hot path and are individually monotonic.
-    shed_abnormal: AtomicU64,
-    shed_root_cause: AtomicU64,
+    state: Mutex<WorkerState>,
+    /// Events sent and not yet taken by the worker — what shedding and the
+    /// health probe read. Counted before the send, so producers blocked on
+    /// a full channel show too.
+    queued: AtomicUsize,
     restarts_metric: Counter,
-    shed_abnormal_metric: Counter,
-    shed_root_cause_metric: Counter,
+    shed_abnormal: Counter,
+    shed_root_cause: Counter,
 }
 
 impl Monitor {
     fn new(obs: &Observability) -> Self {
         let reg = obs.registry();
+        let shed = |class: &str| {
+            reg.labeled_counter(
+                "skynet_shed_total",
+                Some(("class", class)),
+                "alerts shed by the producer under load, by class",
+            )
+        };
         Monitor {
-            state: Mutex::new(SupervisorState {
+            state: Mutex::new(WorkerState {
                 alive: true,
                 gave_up: false,
                 restarts: 0,
                 degraded: None,
             }),
-            shed_abnormal: AtomicU64::new(0),
-            shed_root_cause: AtomicU64::new(0),
+            queued: AtomicUsize::new(0),
             restarts_metric: reg.counter(
                 "skynet_worker_restarts_total",
-                "worker panics caught and restarted by the supervisor",
+                "worker panics caught and contained",
             ),
-            shed_abnormal_metric: reg.labeled_counter(
-                "skynet_shed_total",
-                Some(("class", "abnormal")),
-                "alerts shed by the producer under load, by class",
-            ),
-            shed_root_cause_metric: reg.labeled_counter(
-                "skynet_shed_total",
-                Some(("class", "root-cause")),
-                "alerts shed by the producer under load, by class",
-            ),
+            shed_abnormal: shed("abnormal"),
+            shed_root_cause: shed("root-cause"),
         }
     }
 
-    /// Counts one caught panic; returns the new total.
-    fn count_restart(&self) -> u32 {
-        self.restarts_metric.inc();
-        let mut s = self.state.lock();
-        s.restarts += 1;
-        s.restarts
-    }
-
-    /// Marks the terminal `Degraded` state, preserving the error behind
-    /// the panic that exhausted the restart budget.
-    fn give_up(&self, cause: SkyNetError) {
-        let mut s = self.state.lock();
-        s.gave_up = true;
-        s.degraded = Some(cause);
-    }
-
-    fn mark_dead(&self) {
-        self.state.lock().alive = false;
-    }
-
-    fn state(&self) -> SupervisorState {
+    fn state(&self) -> WorkerState {
         *self.state.lock()
     }
 }
@@ -867,17 +858,15 @@ impl Monitor {
 /// Handle to a running streaming pipeline.
 #[derive(Debug)]
 pub struct StreamingHandle {
-    /// Send events here. Prefer [`StreamingHandle::send_alert`] for alerts
-    /// so the shedding policy applies.
-    pub events: Sender<StreamEvent>,
     /// Scored incidents (with their SOP plans) arrive here as their trees
     /// finalize.
     pub incidents: Receiver<StreamIncident>,
-    /// Quarantined rejects with their reasons; survives worker restarts.
+    /// Quarantined rejects with their reasons.
     pub dead_letters: Arc<Mutex<DeadLetterQueue>>,
-    /// Supervisor thread handle, taken by the first [`StreamingHandle::join`].
+    events: SyncSender<StreamEvent>,
+    event_capacity: usize,
+    /// Worker thread handle, taken by the first [`StreamingHandle::join`].
     worker: Mutex<Option<JoinHandle<()>>>,
-    counters: Arc<Mutex<SharedCounters>>,
     monitor: Arc<Monitor>,
     obs: Observability,
     plane: Option<Arc<FaultPlane>>,
@@ -885,6 +874,18 @@ pub struct StreamingHandle {
 }
 
 impl StreamingHandle {
+    /// Queues one event, blocking while the channel is full. Prefer
+    /// [`StreamingHandle::send_alert`] for alerts so the shedding policy
+    /// applies. Fails with [`SkyNetError::ChannelClosed`] once the worker
+    /// has stopped.
+    pub fn send(&self, event: StreamEvent) -> Result<(), SkyNetError> {
+        self.monitor.queued.fetch_add(1, Ordering::Relaxed);
+        self.events.send(event).map_err(|_| {
+            self.monitor.queued.fetch_sub(1, Ordering::Relaxed);
+            SkyNetError::ChannelClosed
+        })
+    }
+
     /// Submits one alert with class-aware load shedding. `Failure`-class
     /// alerts always block until queued (they are never shed); `Abnormal`
     /// alerts are shed once the channel passes the high-water mark,
@@ -896,38 +897,34 @@ impl StreamingHandle {
     pub fn send_alert(&self, raw: RawAlert) -> Result<(), SkyNetError> {
         let class = raw.known_kind().map_or(AlertClass::Abnormal, |k| k.class());
         if class == AlertClass::Failure {
-            return self
-                .events
-                .send(StreamEvent::Alert(raw))
-                .map_err(|_| SkyNetError::ChannelClosed);
+            return self.send(StreamEvent::Alert(raw));
         }
-        let capacity = self.events.capacity().unwrap_or(usize::MAX);
-        if should_shed(class, self.events.len(), capacity, self.shed_high_water) {
+        let queued = self.monitor.queued.load(Ordering::Relaxed);
+        if should_shed(class, queued, self.event_capacity, self.shed_high_water) {
             self.note_shed(class, &raw);
             return Err(SkyNetError::Shed { class });
         }
-        match self.events.try_send(StreamEvent::Alert(raw)) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(raw)) => {
-                if let StreamEvent::Alert(raw) = raw {
+        self.monitor.queued.fetch_add(1, Ordering::Relaxed);
+        let refused = match self.events.try_send(StreamEvent::Alert(raw)) {
+            Ok(()) => return Ok(()),
+            Err(refused) => refused,
+        };
+        self.monitor.queued.fetch_sub(1, Ordering::Relaxed);
+        match refused {
+            TrySendError::Full(event) => {
+                if let StreamEvent::Alert(raw) = event {
                     self.note_shed(class, &raw);
                 }
                 Err(SkyNetError::Shed { class })
             }
-            Err(TrySendError::Disconnected(_)) => Err(SkyNetError::ChannelClosed),
+            TrySendError::Disconnected(_) => Err(SkyNetError::ChannelClosed),
         }
     }
 
     fn note_shed(&self, class: AlertClass, raw: &RawAlert) {
         match class {
-            AlertClass::Abnormal => {
-                self.monitor.shed_abnormal.fetch_add(1, Ordering::Relaxed);
-                self.monitor.shed_abnormal_metric.inc();
-            }
-            AlertClass::RootCause => {
-                self.monitor.shed_root_cause.fetch_add(1, Ordering::Relaxed);
-                self.monitor.shed_root_cause_metric.inc();
-            }
+            AlertClass::Abnormal => self.monitor.shed_abnormal.inc(),
+            AlertClass::RootCause => self.monitor.shed_root_cause.inc(),
             AlertClass::Failure => {}
         }
         // Only alerts that already carry a trace id (re-submissions) show
@@ -937,9 +934,9 @@ impl StreamingHandle {
             .record(raw.trace, raw.timestamp, Stage::Shed(class));
     }
 
-    /// Waits for the supervisor thread to exit (after a
+    /// Waits for the worker thread to exit (after a
     /// [`StreamEvent::Flush`], once every producer hung up, or when the
-    /// restart budget ran out). The handle stays usable afterwards —
+    /// panic budget ran out). The handle stays usable afterwards —
     /// health, counters and exporters all read state that outlives the
     /// worker. A second call returns `Ok` at once.
     pub fn join(&self) -> std::thread::Result<()> {
@@ -958,7 +955,7 @@ impl StreamingHandle {
             restarts: s.restarts,
             gave_up: s.gave_up,
             degraded: s.degraded,
-            queued_events: self.events.len(),
+            queued_events: self.monitor.queued.load(Ordering::Relaxed),
         }
     }
 
@@ -970,16 +967,11 @@ impl StreamingHandle {
 
     /// Reconstructs the degradation story of the stream so far: the fault
     /// ledger, restart/shed counters, fault-quarantined dead letters, the
-    /// degradation timeline from the trace ring, and — if the supervisor
-    /// gave up — the terminal cause.
+    /// degradation timeline from the trace ring, and — if the worker gave
+    /// up — the terminal cause.
     pub fn degradation_report(&self) -> DegradationReport {
         let health = self.health();
-        let fault_letters = self
-            .dead_letters
-            .lock()
-            .letters()
-            .filter(|l| l.reason == RejectReason::FaultInjected)
-            .count() as u64;
+        let fault_letters = self.dead_letters.lock().count(RejectReason::FaultInjected);
         DegradationReport::assemble(
             self.injected_faults(),
             &self.obs,
@@ -990,44 +982,30 @@ impl StreamingHandle {
         )
     }
 
-    /// True while the supervisor loop is running.
+    /// True while the worker is running.
     pub fn is_alive(&self) -> bool {
         self.monitor.state().alive
     }
 
-    /// Live preprocessing counters (refreshed every `stats_interval`
-    /// alerts and on every tick/flush; survive worker restarts), with
-    /// not-yet-published shed counts merged in.
+    /// Live preprocessing counters, shed counts included.
     pub fn preprocess_stats(&self) -> PreprocessStats {
-        let mut pre = self.counters.lock().preprocess;
-        pre.shed_abnormal = self.monitor.shed_abnormal.load(Ordering::Relaxed);
-        pre.shed_root_cause = self.monitor.shed_root_cause.load(Ordering::Relaxed);
-        pre
+        self.snapshot().preprocess
     }
 
-    /// Live ingestion-guard counters (same cadence as
-    /// [`StreamingHandle::preprocess_stats`]).
+    /// Live ingestion-guard counters.
     pub fn ingest_stats(&self) -> IngestStats {
-        self.counters.lock().ingest
+        self.snapshot().ingest
     }
 
-    /// A consistent counter snapshot including not-yet-published shed
-    /// counts. Both counter families come from one lock acquisition —
-    /// they were published together by the same worker pass.
+    /// Every counter in one pass over the registry. The worker bumps them
+    /// as it goes, so a snapshot taken mid-feed can catch an alert between
+    /// two stages; once the worker is idle or has exited it is exact.
     pub fn snapshot(&self) -> IngestSnapshot {
-        let c = *self.counters.lock();
-        let mut preprocess = c.preprocess;
-        preprocess.shed_abnormal = self.monitor.shed_abnormal.load(Ordering::Relaxed);
-        preprocess.shed_root_cause = self.monitor.shed_root_cause.load(Ordering::Relaxed);
-        IngestSnapshot {
-            preprocess,
-            ingest: c.ingest,
-            restarts: self.monitor.state().restarts,
-        }
+        IngestSnapshot::read(&self.obs.snapshot(), self.monitor.state().restarts)
     }
 
-    /// The observability handle shared with the workers: registry,
-    /// exporters and the trace ring all stay valid across restarts.
+    /// The observability handle shared with the worker: registry,
+    /// exporters and the trace ring.
     pub fn observability(&self) -> &Observability {
         &self.obs
     }
@@ -1036,26 +1014,6 @@ impl StreamingHandle {
     pub fn explain(&self, trace: TraceId) -> Vec<TraceEvent> {
         self.obs.explain(trace)
     }
-}
-
-/// The shared surface of every long-lived pipeline handle — the streaming
-/// runtime's [`StreamingHandle`] and the serving layer's
-/// [`ServiceHandle`](crate::serve::ServiceHandle) — so operational code
-/// (health endpoints, scrape loops, post-incident tooling) is written once
-/// against the trait.
-///
-/// `Handle: Exporter` — every handle also exports the metrics registry in
-/// all three formats.
-pub trait Handle: Exporter {
-    /// The liveness probe a health-check endpoint polls.
-    fn health(&self) -> HealthReport;
-
-    /// The degradation story so far: fault ledger, restart/shed counters,
-    /// quarantined evidence and the timeline from the trace ring.
-    fn degradation_report(&self) -> DegradationReport;
-
-    /// The retained stage trace of one alert, oldest first.
-    fn explain(&self, trace: TraceId) -> Vec<TraceEvent>;
 }
 
 impl Exporter for SkyNet {
@@ -1070,236 +1028,184 @@ impl Exporter for StreamingHandle {
     }
 }
 
-impl Handle for StreamingHandle {
-    fn health(&self) -> HealthReport {
-        StreamingHandle::health(self)
-    }
+impl SkyNet {
+    /// Spawns this pipeline as a streaming worker fed through a bounded
+    /// channel — the paper's production deployment shape (§6.2). Per the
+    /// tokio guide this workload is CPU-bound stream processing, so it runs
+    /// on a plain OS thread with `std::sync::mpsc` channels. Prefer reaching
+    /// this through the builder: `SkyNet::builder(topo).config(cfg).stream()`.
+    pub fn stream(self) -> StreamingHandle {
+        let scfg = &self.cfg.streaming;
+        let event_capacity = scfg.event_capacity.max(1);
+        let (events, event_rx) = sync_channel::<StreamEvent>(event_capacity);
+        let (incident_tx, incidents) =
+            sync_channel::<StreamIncident>(scfg.incident_capacity.max(1));
+        let dead_letters = Arc::new(Mutex::new(DeadLetterQueue::new(
+            scfg.guard.dead_letter_capacity,
+        )));
+        let shed_high_water = scfg.shed_high_water;
+        let obs = self.obs.clone();
+        let monitor = Arc::new(Monitor::new(&obs));
+        let plane = FaultPlane::from_config(&self.cfg.faults, &obs);
 
-    fn degradation_report(&self) -> DegradationReport {
-        StreamingHandle::degradation_report(self)
-    }
+        let worker = {
+            let (dead, monitor, plane) = (
+                Arc::clone(&dead_letters),
+                Arc::clone(&monitor),
+                plane.clone(),
+            );
+            std::thread::Builder::new()
+                .name("skynet-pipeline".into())
+                .spawn(move || {
+                    let _ = run_worker(&self, &event_rx, &incident_tx, dead, &monitor, plane);
+                    monitor.state.lock().alive = false;
+                    // Dropping `event_rx`/`incident_tx` here unblocks
+                    // producers (sends fail with `ChannelClosed`) and ends
+                    // the consumer's iterator.
+                })
+                .expect("spawning the pipeline worker thread")
+        };
 
-    fn explain(&self, trace: TraceId) -> Vec<TraceEvent> {
-        StreamingHandle::explain(self, trace)
-    }
-}
-
-/// Everything the worker shares with the handle (and keeps across
-/// restarts).
-struct WorkerShared {
-    counters: Arc<Mutex<SharedCounters>>,
-    dead: Arc<Mutex<DeadLetterQueue>>,
-    monitor: Arc<Monitor>,
-    obs: Observability,
-    /// Fault-injection state. Lives here — not per incarnation — so a
-    /// restarted worker *resumes* its decision streams instead of
-    /// replaying them.
-    plane: Option<Arc<FaultPlane>>,
-}
-
-/// The streaming runtime behind [`SkyNet::stream`] — per the tokio guide
-/// this workload is CPU-bound stream processing, so it runs on a plain OS
-/// thread with crossbeam channels.
-fn spawn_streaming_impl(skynet: SkyNet) -> StreamingHandle {
-    let scfg = skynet.cfg.streaming.clone();
-    let (event_tx, event_rx) = bounded::<StreamEvent>(scfg.event_capacity.max(1));
-    let (incident_tx, incident_rx) = bounded::<StreamIncident>(scfg.incident_capacity.max(1));
-    let counters = Arc::new(Mutex::new(SharedCounters::default()));
-    let dead_letters = Arc::new(Mutex::new(DeadLetterQueue::new(
-        scfg.guard.dead_letter_capacity,
-    )));
-    let obs = skynet.obs.clone();
-    let monitor = Arc::new(Monitor::new(&obs));
-    let plane = FaultPlane::from_config(&skynet.cfg.faults, &obs);
-    let shared = WorkerShared {
-        counters: Arc::clone(&counters),
-        dead: Arc::clone(&dead_letters),
-        monitor: Arc::clone(&monitor),
-        obs: obs.clone(),
-        plane: plane.clone(),
-    };
-    let shed_high_water = scfg.shed_high_water;
-
-    let worker = std::thread::Builder::new()
-        .name("skynet-pipeline".into())
-        .spawn(move || supervise(&skynet, &scfg, &event_rx, &incident_tx, &shared))
-        .expect("spawning the pipeline worker thread");
-
-    StreamingHandle {
-        events: event_tx,
-        incidents: incident_rx,
-        dead_letters,
-        worker: Mutex::new(Some(worker)),
-        counters,
-        monitor,
-        obs,
-        plane,
-        shed_high_water,
-    }
-}
-
-/// The supervisor: runs the worker under `catch_unwind`; a panic costs one
-/// restart with fresh stage state (shared counters and the dead-letter
-/// queue survive), up to `max_restarts`. Counter deltas not yet published
-/// when a panic hits (at most `stats_interval` alerts' worth) are lost with
-/// the stage state.
-fn supervise(
-    skynet: &SkyNet,
-    scfg: &StreamingConfig,
-    events: &Receiver<StreamEvent>,
-    incidents: &Sender<StreamIncident>,
-    shared: &WorkerShared,
-) {
-    loop {
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_worker(skynet, scfg, events, incidents, shared)
-        }));
-        match outcome {
-            Ok(()) => break,
-            Err(payload) => {
-                let caught = shared.monitor.count_restart();
-                if caught > scfg.max_restarts {
-                    // `&*`: the payload inside the box, not the box itself
-                    // (which is `Any` too and downcasts to nothing).
-                    shared.monitor.give_up(panic_cause(&*payload, caught));
-                    break;
-                }
-                // The next incarnation's guard restarts trace ids at 1;
-                // clearing the ring keeps "explain" unambiguous.
-                if let Some(ring) = shared.obs.recorder() {
-                    ring.clear();
-                }
-            }
+        StreamingHandle {
+            incidents,
+            dead_letters,
+            events,
+            event_capacity,
+            worker: Mutex::new(Some(worker)),
+            monitor,
+            obs,
+            plane,
+            shed_high_water,
         }
     }
-    shared.monitor.mark_dead();
-    // Dropping `events`/`incidents` here unblocks producers (sends fail
-    // with `ChannelClosed`) and ends the consumer's iterator.
 }
 
-/// Maps a caught panic payload to the terminal degradation cause: an
-/// injected-fault panic names its injection site; any other payload is an
-/// ordinary worker panic.
-fn panic_cause(payload: &(dyn std::any::Any + Send), restarts: u32) -> SkyNetError {
-    match payload.downcast_ref::<FaultPanic>() {
-        Some(fault) => SkyNetError::FaultInjected { site: fault.0 },
-        None => SkyNetError::WorkerPanicked { restarts },
+/// Runs `step` under `catch_unwind`: `Some(true)` when it completed,
+/// `Some(false)` when it panicked within the budget (counted as one
+/// restart), `None` when the panic spent the budget and the worker gives up
+/// — in a terminal state that names what killed it: an injected-fault panic
+/// its injection site, anything else an ordinary worker panic.
+fn contain(monitor: &Monitor, budget: u32, step: impl FnOnce()) -> Option<bool> {
+    let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(step)) else {
+        return Some(true);
+    };
+    monitor.restarts_metric.inc();
+    let mut state = monitor.state.lock();
+    state.restarts += 1;
+    if state.restarts <= budget {
+        return Some(false);
     }
+    state.gave_up = true;
+    state.degraded = Some(match payload.downcast_ref::<FaultPanic>() {
+        Some(fault) => SkyNetError::FaultInjected { site: fault.0 },
+        None => SkyNetError::WorkerPanicked {
+            restarts: state.restarts,
+        },
+    });
+    None
 }
 
-/// One worker incarnation: a fresh [`Engine`] (N locators when
-/// `shards = N`) plus the evaluator, matrix memo and SOP engine completed
-/// incidents are scored with, counters based on whatever earlier
-/// incarnations already published.
+/// The streaming worker: one [`Engine`] (N locators when `shards = N`) for
+/// the life of the stream, plus the evaluator, matrix memo and SOP engine
+/// completed incidents are scored with.
+///
+/// A panic is contained the way a serving tenant contains it: the event
+/// left the channel before work on it started, so it alone is lost (the
+/// guard and `locate-worker` sites quarantine the alert first) and the
+/// engine resumes behind it. A panic while scoring costs that incident, not
+/// the completed ones queued behind it. Every caught panic counts against
+/// `max_restarts`, the one thing batch and serving do not have; `None` is
+/// the worker giving up.
 fn run_worker(
     skynet: &SkyNet,
-    scfg: &StreamingConfig,
     events: &Receiver<StreamEvent>,
-    incidents: &Sender<StreamIncident>,
-    shared: &WorkerShared,
-) {
-    // The streaming feed is one anonymous tenant on lane 0. Arm state
-    // lives in the shared plane, so a restarted incarnation resumes the
-    // decision streams where the previous one left off.
-    let arm = |site: InjectionSite| shared.plane.as_ref().and_then(|p| p.arm(site, 0));
-    let mut engine = Engine::new(skynet, 0, Arc::clone(&shared.dead), &shared.plane);
+    incidents: &SyncSender<StreamIncident>,
+    dead: Arc<Mutex<DeadLetterQueue>>,
+    monitor: &Monitor,
+    plane: Option<Arc<FaultPlane>>,
+) -> Option<()> {
+    // The streaming feed is one anonymous tenant on lane 0.
+    let arm = |site: InjectionSite| plane.as_ref().and_then(|p| p.arm(site, 0));
+    let mut engine = Engine::new(skynet, 0, dead, &plane);
     let evaluator = Evaluator::new(&skynet.topo, skynet.cfg.evaluator.clone()).with_faults(
         arm(InjectionSite::MatrixBuild),
         arm(InjectionSite::Evaluate),
     );
-    let mut memo = MatrixMemo::new().with_observability(&shared.obs);
+    let mut memo = MatrixMemo::new().with_observability(&skynet.obs);
     let sop = SopEngine::standard(&skynet.topo);
     let sop_fault = arm(InjectionSite::SopSelect);
-    let base = *shared.counters.lock();
-    let tracer = shared.obs.tracer();
-    let completed = shared.obs.registry().counter(
+    let tracer = skynet.obs.tracer();
+    let completed = skynet.obs.registry().counter(
         "skynet_incidents_completed_total",
         "incidents whose trees finalized",
     );
-    // Evaluates and emits every newly-completed incident, with its SOP
-    // plan attached. Returns `false` when the consumer dropped the
-    // receiver.
-    let mut drain_completed = |engine: &mut Engine| -> bool {
-        for incident in engine.take_completed() {
-            completed.inc();
-            if tracer.is_enabled() {
-                for alert in &incident.alerts {
-                    tracer.record(
-                        alert.trace,
-                        incident.last_seen,
-                        Stage::IncidentCompleted(incident.id),
-                    );
-                }
-            }
-            let sop_trace = incident.alerts.first().map_or(TraceId::NONE, |a| a.trace);
-            let plan = if faultinject::trip(&sop_fault, sop_trace, incident.last_seen) {
-                // SOP selection failed: the incident still ships, without
-                // its automatic remediation plan.
-                None
-            } else {
-                sop.match_incident(&incident)
-            };
-            let scored = evaluator.evaluate_memoized(incident, engine.ping_log(), &mut memo);
-            if tracer.is_enabled() {
-                for alert in &scored.incident.alerts {
-                    tracer.record(
-                        alert.trace,
-                        scored.incident.last_seen,
-                        Stage::Scored(scored.incident.id),
-                    );
-                }
-            }
-            if incidents
-                .send(StreamIncident { scored, sop: plan })
-                .is_err()
-            {
-                return false;
+    // Evaluates and emits one completed incident, with its SOP plan
+    // attached. Returns `false` when the consumer dropped the receiver.
+    let mut emit = |incident: Incident, ping: &PingLog| -> bool {
+        completed.inc();
+        if tracer.is_enabled() {
+            for alert in &incident.alerts {
+                tracer.record(
+                    alert.trace,
+                    incident.last_seen,
+                    Stage::IncidentCompleted(incident.id),
+                );
             }
         }
-        true
+        let sop_trace = incident.alerts.first().map_or(TraceId::NONE, |a| a.trace);
+        let plan = if faultinject::trip(&sop_fault, sop_trace, incident.last_seen) {
+            // SOP selection failed: the incident still ships, without
+            // its automatic remediation plan.
+            None
+        } else {
+            sop.match_incident(&incident)
+        };
+        let scored = evaluator.evaluate_memoized(incident, ping, &mut memo);
+        if tracer.is_enabled() {
+            for alert in &scored.incident.alerts {
+                tracer.record(
+                    alert.trace,
+                    scored.incident.last_seen,
+                    Stage::Scored(scored.incident.id),
+                );
+            }
+        }
+        incidents.send(StreamIncident { scored, sop: plan }).is_ok()
     };
-    let mut since_publish: u64 = 0;
-
-    for event in events.iter() {
-        match event {
-            StreamEvent::Alert(raw) => {
-                engine.alert(raw);
-                since_publish += 1;
-                if since_publish >= scfg.stats_interval {
-                    publish(shared, base, &engine);
-                    since_publish = 0;
-                }
-            }
+    let budget = skynet.cfg.streaming.max_restarts;
+    // Completed incidents wait here, outside the catch.
+    let mut ready: VecDeque<Incident> = VecDeque::new();
+    loop {
+        // Every producer hanging up ends the stream like a `Flush`.
+        let event = events.recv().map_or(StreamEvent::Flush, |event| {
+            monitor.queued.fetch_sub(1, Ordering::Relaxed);
+            event
+        });
+        let last = matches!(event, StreamEvent::Flush);
+        let mut done = contain(monitor, budget, || match event {
+            StreamEvent::Alert(raw) => engine.alert(raw),
             StreamEvent::Ping(sample) => engine.ping(sample),
-            StreamEvent::Tick(now) => {
-                engine.tick(now);
-                publish(shared, base, &engine);
-                since_publish = 0;
-            }
-            StreamEvent::Flush => break,
+            StreamEvent::Tick(now) => engine.tick(now),
+            StreamEvent::Flush => engine.flush(),
             StreamEvent::ChaosPanic => panic!("chaos: injected pipeline worker panic"),
+        })?;
+        // Only the flush is retried: each retry resumes behind the alert
+        // that panicked, releasing and finalizing what is left.
+        while last && !done {
+            done = contain(monitor, budget, || engine.flush())?;
         }
-        if !drain_completed(&mut engine) {
-            return; // receiver gone
+        ready.extend(engine.take_completed());
+        while let Some(incident) = ready.pop_front() {
+            let mut open = true;
+            contain(monitor, budget, || open = emit(incident, engine.ping_log()))?;
+            if !open {
+                return Some(()); // receiver gone
+            }
+        }
+        if last {
+            return Some(());
         }
     }
-    // Flush (or all producers hung up): release everything and finalize.
-    engine.flush();
-    publish(shared, base, &engine);
-    let _ = drain_completed(&mut engine);
-}
-
-/// Publishes counter snapshots: earlier incarnations' base plus this
-/// incarnation's counters, with shed counts taken live from the producer
-/// side. Both families are written under one lock acquisition so readers
-/// always see a pair from the same pass.
-fn publish(shared: &WorkerShared, base: SharedCounters, engine: &Engine) {
-    let mut next = base;
-    next.preprocess.merge(&engine.preprocess_stats());
-    next.preprocess.shed_abnormal = shared.monitor.shed_abnormal.load(Ordering::Relaxed);
-    next.preprocess.shed_root_cause = shared.monitor.shed_root_cause.load(Ordering::Relaxed);
-    next.ingest.merge(&engine.ingest_stats());
-    *shared.counters.lock() = next;
 }
 
 #[cfg(test)]
@@ -1419,13 +1325,12 @@ pub(crate) mod tests {
             .build();
         let handle = skynet_stream.stream();
         for a in &alerts {
-            handle.events.send(StreamEvent::Alert(a.clone())).unwrap();
+            handle.send(StreamEvent::Alert(a.clone())).unwrap();
         }
         handle
-            .events
             .send(StreamEvent::Tick(SimTime::from_mins(30)))
             .unwrap();
-        handle.events.send(StreamEvent::Flush).unwrap();
+        handle.send(StreamEvent::Flush).unwrap();
         let streamed: Vec<StreamIncident> = handle.incidents.iter().collect();
         handle.join().unwrap();
 
@@ -1519,13 +1424,12 @@ pub(crate) mod tests {
             .build();
         let handle = skynet.stream();
         for a in flood(&site) {
-            handle.events.send(StreamEvent::Alert(a)).unwrap();
+            handle.send(StreamEvent::Alert(a)).unwrap();
         }
         // Nothing finalized yet (incident still within its idle window).
         assert!(handle.incidents.try_recv().is_err());
         // A tick 20 minutes later times the incident out without new alerts.
         handle
-            .events
             .send(StreamEvent::Tick(SimTime::from_mins(21)))
             .unwrap();
         let emitted = handle
@@ -1533,7 +1437,7 @@ pub(crate) mod tests {
             .recv_timeout(std::time::Duration::from_secs(5))
             .expect("incident finalizes on tick");
         assert_eq!(emitted.scored.incident.root, site);
-        handle.events.send(StreamEvent::Flush).unwrap();
+        handle.send(StreamEvent::Flush).unwrap();
         handle.join().unwrap();
     }
 
@@ -1546,19 +1450,17 @@ pub(crate) mod tests {
             cfg.streaming.shards = shards;
             let handle = SkyNet::builder(&t).config(cfg).stream();
             assert!(handle.is_alive());
-            // Poison first, then the flood: the restarted worker must
-            // analyze it with fresh state as if nothing happened. One
-            // worker owns every locator, so the panic costs one restart at
-            // any shard count.
-            handle.events.send(StreamEvent::ChaosPanic).unwrap();
+            // Poison first, then the flood: the worker must analyze it as
+            // if nothing happened. One worker owns every locator, so the
+            // panic costs one restart at any shard count.
+            handle.send(StreamEvent::ChaosPanic).unwrap();
             for a in &alerts {
-                handle.events.send(StreamEvent::Alert(a.clone())).unwrap();
+                handle.send(StreamEvent::Alert(a.clone())).unwrap();
             }
             handle
-                .events
                 .send(StreamEvent::Tick(SimTime::from_mins(30)))
                 .unwrap();
-            handle.events.send(StreamEvent::Flush).unwrap();
+            handle.send(StreamEvent::Flush).unwrap();
             let streamed: Vec<StreamIncident> = handle.incidents.iter().collect();
             handle.join().unwrap();
             assert_eq!(streamed.len(), 2, "both regions still produce incidents");
@@ -1577,8 +1479,8 @@ pub(crate) mod tests {
         cfg.streaming.max_restarts = 1;
         let skynet = SkyNet::builder(&t).config(cfg).build();
         let handle = skynet.stream();
-        handle.events.send(StreamEvent::ChaosPanic).unwrap();
-        handle.events.send(StreamEvent::ChaosPanic).unwrap();
+        handle.send(StreamEvent::ChaosPanic).unwrap();
+        handle.send(StreamEvent::ChaosPanic).unwrap();
         handle.join().unwrap();
         let health = handle.health();
         assert!(health.gave_up);
@@ -1607,11 +1509,11 @@ pub(crate) mod tests {
         let handle = SkyNet::builder(&t).config(cfg).stream();
         for a in flood(&site) {
             // The worker dies mid-feed; later sends may hit a closed channel.
-            if handle.events.send(StreamEvent::Alert(a)).is_err() {
+            if handle.send(StreamEvent::Alert(a)).is_err() {
                 break;
             }
         }
-        let _ = handle.events.send(StreamEvent::Flush);
+        let _ = handle.send(StreamEvent::Flush);
         handle.join().unwrap();
         let health = handle.health();
         assert!(health.gave_up);
@@ -1727,13 +1629,12 @@ pub(crate) mod tests {
         cfg.streaming.shards = 4;
         let handle = SkyNet::builder(&t).config(cfg).stream();
         for a in &alerts {
-            handle.events.send(StreamEvent::Alert(a.clone())).unwrap();
+            handle.send(StreamEvent::Alert(a.clone())).unwrap();
         }
         handle
-            .events
             .send(StreamEvent::Tick(SimTime::from_mins(30)))
             .unwrap();
-        handle.events.send(StreamEvent::Flush).unwrap();
+        handle.send(StreamEvent::Flush).unwrap();
         let streamed: Vec<StreamIncident> = handle.incidents.iter().collect();
         handle.join().unwrap();
 
@@ -1787,10 +1688,9 @@ pub(crate) mod tests {
             handle.send_alert(a).unwrap();
         }
         handle
-            .events
             .send(StreamEvent::Tick(SimTime::from_mins(30)))
             .unwrap();
-        handle.events.send(StreamEvent::Flush).unwrap();
+        handle.send(StreamEvent::Flush).unwrap();
         let streamed: Vec<StreamIncident> = handle.incidents.iter().collect();
         handle.join().unwrap();
         assert_eq!(streamed.len(), 1);
@@ -1846,10 +1746,9 @@ pub(crate) mod tests {
             handle.send_alert(a).unwrap();
         }
         handle
-            .events
             .send(StreamEvent::Tick(SimTime::from_mins(30)))
             .unwrap();
-        handle.events.send(StreamEvent::Flush).unwrap();
+        handle.send(StreamEvent::Flush).unwrap();
         let streamed: Vec<StreamIncident> = handle.incidents.iter().collect();
         handle.join().unwrap();
         assert_eq!(streamed.len(), 1);
@@ -1871,42 +1770,45 @@ pub(crate) mod tests {
         }
     }
 
+    /// The worker keeps its engine across a panic, so the guard still
+    /// remembers the flood when it is replayed: nothing is admitted twice
+    /// and no counter moves backwards.
     #[test]
     fn restart_counters_never_regress() {
         let t = topo();
         let site = t.clusters()[0].parent();
-        let skynet = SkyNet::builder(&t)
-            .config(PipelineConfig::production())
-            .build();
-        let handle = skynet.stream();
+        // The whole flood stays inside the reorder window: a replayed alert
+        // is an exact duplicate, not a late one.
+        let mut cfg = PipelineConfig::production();
+        cfg.streaming.guard.skew_window = skynet_model::SimDuration::from_secs(60);
+        let handle = SkyNet::builder(&t).config(cfg).stream();
         for a in flood(&site) {
-            handle.events.send(StreamEvent::Alert(a)).unwrap();
+            handle.send(StreamEvent::Alert(a)).unwrap();
         }
-        // The tick publishes a counter snapshot before the poison arrives.
-        handle
-            .events
-            .send(StreamEvent::Tick(SimTime::from_mins(21)))
-            .unwrap();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         while handle.snapshot().ingest.accepted < 41 && std::time::Instant::now() < deadline {
             std::thread::yield_now();
         }
         let before = handle.snapshot();
         assert_eq!(before.ingest.accepted, 41);
-        handle.events.send(StreamEvent::ChaosPanic).unwrap();
-        // The restarted incarnation keeps accumulating on top of what was
-        // already published — never backwards.
+        handle.send(StreamEvent::ChaosPanic).unwrap();
         for a in flood(&site) {
-            handle.events.send(StreamEvent::Alert(a)).unwrap();
+            handle.send(StreamEvent::Alert(a)).unwrap();
         }
-        handle.events.send(StreamEvent::Flush).unwrap();
-        let _: Vec<StreamIncident> = handle.incidents.iter().collect();
+        handle.send(StreamEvent::Flush).unwrap();
+        let streamed: Vec<StreamIncident> = handle.incidents.iter().collect();
         handle.join().unwrap();
+        assert_eq!(streamed.len(), 1);
         let after = handle.snapshot();
         assert_eq!(after.restarts, 1);
-        assert!(after.ingest.accepted >= before.ingest.accepted);
+        assert_eq!(after.ingest.accepted, 41);
+        assert_eq!(after.ingest.rejected_duplicate, 41);
+        assert_eq!(
+            handle.dead_letters.lock().count(RejectReason::Duplicate),
+            41
+        );
         assert!(after.preprocess.raw >= before.preprocess.raw);
-        assert_eq!(after.ingest.accepted, 82);
+        assert_eq!(after.preprocess.raw, 41);
         assert_eq!(
             handle
                 .observability()
@@ -1914,5 +1816,60 @@ pub(crate) mod tests {
                 .counter("skynet_worker_restarts_total", None),
             1
         );
+    }
+
+    /// A worker panic costs the event in flight and nothing else: wherever
+    /// in the flood it lands, the stream still reports batch's incident and
+    /// every admitted alert still reaches the preprocessor.
+    #[test]
+    fn a_panic_at_any_point_of_the_flood_leaves_the_incident_intact() {
+        let t = topo();
+        let site = t.clusters()[0].parent();
+        let alerts = flood(&site);
+        let horizon = SimTime::from_mins(30);
+        let batch = SkyNet::builder(&t)
+            .config(PipelineConfig::production())
+            .build()
+            .analyze(&alerts, &PingLog::new(), horizon);
+        let expected = &batch.incidents[0].incident;
+        for cut in [0, 10, 20, 30, 38, 41] {
+            let handle = SkyNet::builder(&t)
+                .config(PipelineConfig::production())
+                .stream();
+            for (i, a) in alerts.iter().enumerate() {
+                if i == cut {
+                    handle.send(StreamEvent::ChaosPanic).unwrap();
+                }
+                handle.send(StreamEvent::Alert(a.clone())).unwrap();
+            }
+            if cut == alerts.len() {
+                handle.send(StreamEvent::ChaosPanic).unwrap();
+            }
+            handle.send(StreamEvent::Tick(horizon)).unwrap();
+            handle.send(StreamEvent::Flush).unwrap();
+            let streamed: Vec<StreamIncident> = handle.incidents.iter().collect();
+            handle.join().unwrap();
+
+            assert_eq!(streamed.len(), 1, "panic before alert {cut}");
+            let got = &streamed[0].scored.incident;
+            assert_eq!(
+                (&got.root, got.alerts.len(), got.first_seen, got.last_seen),
+                (
+                    &expected.root,
+                    expected.alerts.len(),
+                    expected.first_seen,
+                    expected.last_seen
+                ),
+                "panic before alert {cut}"
+            );
+            assert_eq!(streamed[0].sop.as_ref(), batch.sop_for(expected.id));
+            let snap = handle.snapshot();
+            assert_eq!(snap.restarts, 1);
+            assert_eq!(
+                (snap.ingest.accepted, snap.preprocess.raw),
+                (41, 41),
+                "panic before alert {cut}"
+            );
+        }
     }
 }

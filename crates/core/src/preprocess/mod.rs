@@ -156,18 +156,6 @@ impl PreprocessStats {
     pub fn shed(&self) -> u64 {
         self.shed_abnormal + self.shed_root_cause
     }
-
-    /// Folds counters from a later stream segment into this one (used by
-    /// the supervisor to accumulate totals across worker restarts).
-    pub fn merge(&mut self, other: &PreprocessStats) {
-        self.raw += other.raw;
-        self.emitted += other.emitted;
-        self.deduplicated += other.deduplicated;
-        self.filtered_sporadic += other.filtered_sporadic;
-        self.filtered_uncorroborated += other.filtered_uncorroborated;
-        self.shed_abnormal += other.shed_abnormal;
-        self.shed_root_cause += other.shed_root_cause;
-    }
 }
 
 /// The preprocessor's registered metric handles (detached no-ops when the

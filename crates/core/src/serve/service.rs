@@ -25,7 +25,7 @@ use crate::guard::DeadLetterQueue;
 use crate::obs::{
     Counter, Exporter, Histogram, Observability, RegistrySnapshot, TraceEvent, LATENCY_BUCKETS,
 };
-use crate::pipeline::{AnalysisReport, Handle, HealthReport, SkyNet};
+use crate::pipeline::{AnalysisReport, HealthReport, SkyNet};
 use parking_lot::{Condvar, Mutex};
 use serde::Serialize;
 use skynet_model::{PingSample, RawAlert, SimTime, TraceId};
@@ -852,8 +852,9 @@ impl Exporter for ServiceHandle {
     }
 }
 
-impl Handle for ServiceHandle {
-    fn health(&self) -> HealthReport {
+impl ServiceHandle {
+    /// The liveness probe a health-check endpoint polls.
+    pub fn health(&self) -> HealthReport {
         let slots: Vec<Arc<TenantSlot>> = self.inner.tenants.lock().clone();
         let queued = slots.iter().map(|s| s.queue.lock().items.len()).sum();
         HealthReport {
@@ -865,19 +866,13 @@ impl Handle for ServiceHandle {
         }
     }
 
-    fn degradation_report(&self) -> DegradationReport {
+    /// The degradation story so far: fault ledger, restart/shed counters,
+    /// quarantined evidence and the timeline from the trace ring.
+    pub fn degradation_report(&self) -> DegradationReport {
         let slots: Vec<Arc<TenantSlot>> = self.inner.tenants.lock().clone();
         let fault_letters: u64 = slots
             .iter()
-            .map(|s| {
-                let dead = s.dead.lock().clone();
-                let count = dead
-                    .lock()
-                    .letters()
-                    .filter(|l| l.reason == RejectReason::FaultInjected)
-                    .count();
-                count as u64
-            })
+            .map(|s| s.dead.lock().lock().count(RejectReason::FaultInjected))
             .sum();
         DegradationReport::assemble(
             self.inner
@@ -893,7 +888,8 @@ impl Handle for ServiceHandle {
         )
     }
 
-    fn explain(&self, trace: TraceId) -> Vec<TraceEvent> {
+    /// The retained stage trace of one alert, oldest first.
+    pub fn explain(&self, trace: TraceId) -> Vec<TraceEvent> {
         self.inner.obs.explain(trace)
     }
 }

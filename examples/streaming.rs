@@ -53,11 +53,10 @@ fn main() {
         .collect();
     feed.sort_by_key(|&(t, _)| t);
     for (_, event) in feed {
-        handle.events.send(event).unwrap();
+        handle.send(event).unwrap();
     }
     // Quiet period: ticks alone drive the 15-minute incident timeout.
     handle
-        .events
         .send(StreamEvent::Tick(SimTime::from_mins(35)))
         .unwrap();
 
@@ -111,7 +110,7 @@ fn main() {
     assert!(prom.contains("skynet_ingest_accepted_total"));
     println!("--- metrics\n{}", handle.table());
 
-    handle.events.send(StreamEvent::Flush).unwrap();
+    handle.send(StreamEvent::Flush).unwrap();
     let mut incidents: Vec<_> = handle.incidents.iter().collect();
     handle.join().unwrap();
     println!(

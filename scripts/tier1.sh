@@ -7,6 +7,12 @@
 # The stand-ins come in through a --config overlay, never a checked-in
 # [patch]; its paths resolve against perf/. CARGO_TARGET_DIR moves the build
 # (default: target/ at the repo root).
+#
+# Cargo prints "warning: patch `crossbeam v0.8.4 …` was not used in the crate
+# graph" on these calls: the overlay still stands crossbeam in for perf/
+# (through perf/shim/skynet-core/Cargo.toml), and nothing in this workspace
+# depends on it any more. Resolution exits 0; the warning goes when the
+# stand-ins are hoisted out of perf/ (ROADMAP item 1).
 set -euo pipefail
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."

@@ -97,8 +97,7 @@ fn supervised_stream_survives_chaos_and_matches_batch() {
     let clean = flood(&site);
 
     // The batch reference answer for the well-formed portion.
-    let mut cfg = PipelineConfig::production();
-    cfg.streaming.stats_interval = 1; // publish every alert: exact counters
+    let cfg = PipelineConfig::production();
     let batch = SkyNet::builder(&topo).config(cfg.clone()).build().analyze(
         &clean,
         &PingLog::new(),
@@ -131,19 +130,16 @@ fn supervised_stream_survives_chaos_and_matches_batch() {
 
     // Arm the guard's trusted clock, then hit the fresh worker with the
     // malformed storm.
-    handle
-        .events
-        .send(StreamEvent::Tick(SimTime::ZERO))
-        .unwrap();
+    handle.send(StreamEvent::Tick(SimTime::ZERO)).unwrap();
     let storm = malformed_storm(&topo);
     let storm_len = storm.len() as u64;
     for alert in storm {
-        handle.events.send(StreamEvent::Alert(alert)).unwrap();
+        handle.send(StreamEvent::Alert(alert)).unwrap();
     }
 
     // Mid-stream worker panic: the supervisor must restart with fresh
     // stage state while the dead-letter queue and counters survive.
-    handle.events.send(StreamEvent::ChaosPanic).unwrap();
+    handle.send(StreamEvent::ChaosPanic).unwrap();
 
     // The degraded (shuffled + duplicated) well-formed flood, through the
     // shedding front door.
@@ -152,7 +148,6 @@ fn supervised_stream_survives_chaos_and_matches_batch() {
     }
     // One hopelessly-late alert: the flood pushed the watermark past it.
     handle
-        .events
         .send(StreamEvent::Alert(
             RawAlert::known(
                 DataSource::Ping,
@@ -165,10 +160,9 @@ fn supervised_stream_survives_chaos_and_matches_batch() {
         .unwrap();
 
     handle
-        .events
         .send(StreamEvent::Tick(SimTime::from_mins(30)))
         .unwrap();
-    handle.events.send(StreamEvent::Flush).unwrap();
+    handle.send(StreamEvent::Flush).unwrap();
 
     let streamed: Vec<StreamIncident> = handle.incidents.iter().collect();
     handle.join().unwrap();

@@ -81,11 +81,21 @@ fn streaming_config_round_trips() {
             .with_event_capacity(512)
             .with_incident_capacity(33)
             .with_guard(GuardConfig::default().with_dead_letter_capacity(17))
-            .with_stats_interval(7)
             .with_shed_high_water(0.5)
             .with_max_restarts(9)
             .with_shards(4),
     );
+}
+
+/// A config file written before `stats_interval` was removed still loads:
+/// the stale key is ignored and every other field keeps its value.
+#[test]
+fn streaming_config_ignores_the_removed_stats_interval() {
+    let cfg = StreamingConfig::default().with_event_capacity(512);
+    let json = serde_json::to_string(&cfg).expect("config serializes");
+    let old = json.replacen('{', "{\"stats_interval\":64,", 1);
+    let back: StreamingConfig = serde_json::from_str(&old).expect("old config deserializes");
+    assert_eq!(back, cfg);
 }
 
 #[test]

@@ -475,24 +475,19 @@ fn failure_class_alerts_survive_injected_panics() {
 #[test]
 fn streaming_panic_dead_letters_then_restarts() {
     let topo = topo();
-    let mut cfg = PipelineConfig::production().with_faults(FaultConfig::seeded(13).with_rule(
+    let cfg = PipelineConfig::production().with_faults(FaultConfig::seeded(13).with_rule(
         FaultRule::once(InjectionSite::LocateWorker, 3, FaultAction::Panic),
     ));
-    cfg.streaming.stats_interval = 1;
     let handle = SkyNet::builder(&topo).config(cfg).build().stream();
 
-    handle
-        .events
-        .send(StreamEvent::Tick(SimTime::ZERO))
-        .unwrap();
+    handle.send(StreamEvent::Tick(SimTime::ZERO)).unwrap();
     for alert in flood(&topo) {
         handle.send_alert(alert).unwrap();
     }
     handle
-        .events
         .send(StreamEvent::Tick(SimTime::from_mins(60)))
         .unwrap();
-    handle.events.send(StreamEvent::Flush).unwrap();
+    handle.send(StreamEvent::Flush).unwrap();
     let streamed: Vec<StreamIncident> = handle.incidents.iter().collect();
     handle.join().unwrap();
 
@@ -532,18 +527,17 @@ fn supervisor_exhaustion_reports_degraded_with_cause() {
     let mut cfg = PipelineConfig::production().with_faults(FaultConfig::seeded(17).with_rule(
         FaultRule::once(InjectionSite::LocateWorker, 2, FaultAction::Panic),
     ));
-    cfg.streaming.stats_interval = 1;
     cfg.streaming.max_restarts = 0;
     let handle = SkyNet::builder(&topo).config(cfg).build().stream();
 
-    let _ = handle.events.send(StreamEvent::Tick(SimTime::ZERO));
+    let _ = handle.send(StreamEvent::Tick(SimTime::ZERO));
     for alert in flood(&topo) {
         // The worker dies mid-feed; later sends may hit a closed channel.
         if handle.send_alert(alert).is_err() {
             break;
         }
     }
-    let _ = handle.events.send(StreamEvent::Flush);
+    let _ = handle.send(StreamEvent::Flush);
     handle.join().unwrap();
 
     let health = handle.health();

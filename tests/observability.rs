@@ -177,18 +177,14 @@ fn streaming_handle_exposes_the_shared_observability() {
         .build();
     let handle = sky.stream();
     for alert in &run.alerts {
-        handle
-            .events
-            .send(StreamEvent::Alert(alert.clone()))
-            .unwrap();
+        handle.send(StreamEvent::Alert(alert.clone())).unwrap();
     }
     handle
-        .events
         .send(StreamEvent::Tick(
             scenario.horizon() + SimDuration::from_mins(20),
         ))
         .unwrap();
-    handle.events.send(StreamEvent::Flush).unwrap();
+    handle.send(StreamEvent::Flush).unwrap();
     let streamed: Vec<StreamIncident> = handle.incidents.iter().collect();
     handle.join().unwrap();
     assert!(!streamed.is_empty());
