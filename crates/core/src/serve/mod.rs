@@ -7,9 +7,10 @@
 //!
 //! ```text
 //!                    ┌───────────────────────── service ─────────────────────────┐
-//! tenant A ──┐       │ poll loop → hello → per-tenant bounded queue ─► worker A  │
-//! tenant B ──┼─TCP─► │             (BUSY pushback when full)        ─► worker B  │
-//! tenant C ──┘       │   submit: seq + frame → group committer → durable → ack   │
+//! tenant A ──┐       │ conn thread A → hello → bounded queue A ─► worker A       │
+//! tenant B ──┼─TCP─► │ conn thread B → hello → bounded queue B ─► worker B       │
+//! tenant C ──┘       │   (one blocking thread per connection; BUSY when full)    │
+//!                    │   submit: seq + frame → group committer → durable → ack   │
 //!                    │   snapshot = guard + preprocess + locator + ping          │
 //!                    └───────────────────────────────────────────────────────────┘
 //! ```

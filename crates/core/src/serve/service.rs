@@ -327,6 +327,13 @@ impl ServiceInner {
             // control flow, not tenant data, and must neither consume a
             // slot in nor be vetoed by the injected decision stream.
             let mut q = slot.queue.lock();
+            // `shutdown` raises the flag before it queues `Shutdown` under
+            // this lock. Flag up: the worker is leaving and would never
+            // answer (a front-door connection can still ask). Flag down:
+            // this Report is queued ahead of the `Shutdown` and is answered.
+            if self.is_shutting_down() {
+                return Err(ServeError::ShuttingDown);
+            }
             let (_, ordinal) = self
                 .wal
                 .begin_submit_unchecked(slot.wal_id, &WalEvent::ReportBoundary(horizon))?;
@@ -796,6 +803,13 @@ impl ServiceHandle {
             .collect()
     }
 
+    /// What the front door's `Conn::feed` executes against, for its
+    /// socket-free tests.
+    #[cfg(test)]
+    pub(super) fn inner(&self) -> &Arc<ServiceInner> {
+        &self.inner
+    }
+
     /// The TCP front door's bound address, when one was configured —
     /// useful with `with_bind("127.0.0.1:0")` ephemeral ports.
     pub fn local_addr(&self) -> Option<SocketAddr> {
@@ -827,7 +841,8 @@ impl ServiceHandle {
             let _ = handle.join();
         }
         if let Some(handle) = self.listener.lock().take() {
-            // Wake the poll loop so it observes the flag promptly.
+            // Wake the acceptor out of its blocking `accept`: it sees the
+            // flag, shuts every connection's socket down and joins them.
             if let Some(addr) = self.inner.local_addr {
                 let _ = TcpStream::connect(addr);
             }
